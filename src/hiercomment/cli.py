@@ -315,6 +315,8 @@ def cmd_generate(args) -> int:
         else (30 if mode == "first" else 60)
     if args.beam < 1:
         raise CliError("--beam must be >= 1")
+    if max_len < 1:
+        raise CliError("--max-len must be >= 1")
     for label, level in (("--spec-level", args.spec_level),
                          ("--coh-level", args.coh_level)):
         if level is not None and not 1 <= level <= model_config.k_levels:
@@ -329,8 +331,10 @@ def cmd_generate(args) -> int:
                             coh_level=args.coh_level)
         rows.append({"id": ex.id, "prediction": tokens})
     _write_predictions(args.out, rows)
-    print("generated %d predictions (beam %d) -> %s"
-          % (len(rows), args.beam, args.out))
+    # a prediction of max_len tokens never emitted EOS (EOS takes a step)
+    cut = sum(len(row["prediction"]) == max_len for row in rows)
+    print("generated %d predictions (beam %d; %d reached --max-len %d without EOS) -> %s"
+          % (len(rows), args.beam, cut, max_len, args.out))
     return 0
 
 

@@ -340,8 +340,13 @@ def target_extended_id(token: str, vocab: Vocabulary, src: EncodedSource):
 
 @dataclass
 class DecoderState:
-    hidden: list                  # per layer, each (dec_hidden,)
+    hidden: list                  # per layer, each (dec_hidden,) or (B, dec_hidden)
     t: int = 0
+
+    def select(self, rows) -> "DecoderState":
+        """The batched state of `rows` (indices into the batch), in that order."""
+        return DecoderState(hidden=[T.embedding_gather(h, rows) for h in self.hidden],
+                            t=self.t)
 
 
 def init_decoder(src: EncodedSource, params: dict, config: ModelConfig) -> DecoderState:
@@ -368,22 +373,30 @@ def _check_level(level: int, k: int, what: str) -> None:
         raise ValueError("%s level must be an integer in 1..%d, got %r" % (what, k, level))
 
 
-def decode_step(state: DecoderState, prev_token_id: int, spec_level, coh_level,
+def decode_step(state: DecoderState, prev_token_id, spec_level, coh_level,
                 src: EncodedSource, params: dict, config: ModelConfig,
                 rng=None, train: bool = False):
-    """One decoder step.
+    """One decoder step, for one hypothesis or a batch of B.
 
+    `prev_token_id` is an int with per-layer hidden states of shape
+    (dec_hidden,), or an int array of shape (B,) with hidden states of
+    shape (B, dec_hidden); every output gains the same leading axis.
     Returns (final_dist over vocab plus source-only tokens, p_gen,
     new DecoderState, attention weights over source positions).
     """
-    parts = [T.row(params["embed.token"], prev_token_id)]
+    ids = np.asarray(prev_token_id, dtype=np.int64)
+    batched = ids.ndim == 1
+    gather = T.embedding_gather if batched else T.row
+    parts = [gather(params["embed.token"], ids)]
     if config.use_specificity:
         _check_level(spec_level, config.k_levels, "specificity")
-        parts.append(T.row(params["embed.spec_level"], int(spec_level) - 1))
+        parts.append(gather(params["embed.spec_level"],
+                            np.full(ids.shape, int(spec_level) - 1)))
     if config.use_coherence:
         _check_level(coh_level, config.k_levels, "coherence")
-        parts.append(T.row(params["embed.coh_level"], int(coh_level) - 1))
-    x = parts[0] if len(parts) == 1 else T.concat(parts, axis=0)
+        parts.append(gather(params["embed.coh_level"],
+                            np.full(ids.shape, int(coh_level) - 1)))
+    x = parts[0] if len(parts) == 1 else T.concat(parts, axis=-1)
 
     new_hidden = []
     inp = x
@@ -398,20 +411,25 @@ def decode_step(state: DecoderState, prev_token_id: int, spec_level, coh_level,
     h_top = new_hidden[-1]
 
     keys = src.attention_keys(params)            # (T_total, dec_hidden)
-    scores = T.matmul(keys, h_top)               # (T_total,)
-    attn = T.softmax(scores, axis=0)
-    context = T.matmul(attn, src.h_all)          # (2*enc_hidden,)
+    if batched:
+        scores = T.matmul(h_top, T.transpose(keys))   # (B, T_total)
+    else:
+        scores = T.matmul(keys, h_top)                # (T_total,)
+    attn = T.softmax(scores, axis=-1)
+    context = T.matmul(attn, src.h_all)          # (..., 2*enc_hidden)
 
-    hc = T.concat([h_top, context], axis=0)
-    p_vocab = T.softmax(T.add(T.matmul(hc, params["out.w"]), params["out.b"]), axis=0)
-    p_gen = T.sigmoid(T.add(T.matmul(T.concat([hc, x], axis=0), params["pgen.w"]),
+    hc = T.concat([h_top, context], axis=-1)
+    p_vocab = T.softmax(T.add(T.matmul(hc, params["out.w"]), params["out.b"]), axis=-1)
+    p_gen = T.sigmoid(T.add(T.matmul(T.concat([hc, x], axis=-1), params["pgen.w"]),
                             params["pgen.b"]))
+    gate = T.reshape(p_gen, (-1, 1)) if batched else p_gen
 
-    gen_part = T.mul(p_vocab, p_gen)
+    gen_part = T.mul(p_vocab, gate)
     if src.oov_list:
-        gen_part = T.concat([gen_part, T.const(np.zeros(len(src.oov_list)))], axis=0)
+        gen_part = T.concat([gen_part, T.const(np.zeros(ids.shape + (len(src.oov_list),)))],
+                            axis=-1)
     copy_part = T.mul(T.scatter_sum(attn, src.ext_ids, src.ext_vocab_size),
-                      T.sub(T.const(np.asarray(1.0)), p_gen))
+                      T.sub(T.const(np.asarray(1.0)), gate))
     final_dist = T.add(gen_part, copy_part)
     return final_dist, p_gen, DecoderState(hidden=new_hidden, t=state.t + 1), attn
 
@@ -477,74 +495,63 @@ def forward_unlikelihood(src: EncodedSource, negative_tokens: list, spec_level,
 
 # beam search -----------------------------------------------------------------
 
-@dataclass
-class Hypothesis:
-    tokens: tuple
-    logp: float
-    state: object
-    steps: int
-    last: int
-
-    @property
-    def score(self) -> float:
-        return self.logp / max(self.steps, 1)
-
-
 def beam_search(step_fn, bos_id: int, eos_id: int, beam_size: int,
                 max_len: int, min_len: int = 1):
-    """Length-normalized beam search over a generic step function.
+    """Length-normalized beam search over a batched step function.
 
-    `step_fn(state, prev_id)` returns `(log_probs, new_state)` where
-    `log_probs` is a 1-D array over the output alphabet; the initial
-    state is None.  A hypothesis ends at EOS (the EOS step counts toward
-    its length) or at max_len.  The returned pair is (token ids without
-    EOS, score = logp / steps).  EOS is masked until `min_len` content
-    tokens have been emitted.
+    `step_fn(state, prev_ids)` steps every live hypothesis at once:
+    `prev_ids` is an int array of shape (B,) and the result is
+    `(log_probs, new_state)` with `log_probs` of shape (B, W) over the
+    output alphabet.  The initial state is None (B = 1, prev BOS);
+    afterwards `new_state.select(rows)` must give the state of those
+    rows, in that order.  Each step keeps the `beam_size` best of the
+    B x W extensions, ties going to the lower (hypothesis, token) index.
+    A hypothesis ends at EOS (the EOS step counts toward its length) or
+    at max_len.  The returned pair is (token ids without EOS,
+    score = logp / steps).  EOS is masked until `min_len` content tokens
+    have been emitted.
     """
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    live = [Hypothesis(tokens=(), logp=0.0, state=None, steps=0, last=bos_id)]
-    finished: list[Hypothesis] = []
-    for _ in range(max_len):
-        if not live:
-            break
-        all_scores = []
-        new_states = []
-        for hyp in live:
-            log_probs, new_state = step_fn(hyp.state, hyp.last)
-            log_probs = np.asarray(log_probs, dtype=np.float64).copy()
-            if len(hyp.tokens) < min_len:
-                log_probs[eos_id] = -np.inf
-            all_scores.append(hyp.logp + log_probs)
-            new_states.append(new_state)
-        flat = np.concatenate(all_scores)
-        width = len(all_scores[0])
+    state = None
+    last = np.array([bos_id], dtype=np.int64)
+    logp = np.zeros(1)
+    tokens = [()]                 # per live hypothesis; all have taken `step` steps
+    finished = []                 # (tokens, score) in the order they ended
+    for step in range(max_len):
+        log_probs, new_state = step_fn(state, last)
+        if np.ndim(log_probs) != 2 or len(log_probs) != len(last):
+            raise ValueError("step_fn must return log-probs of shape (%d, W), got %r"
+                             % (len(last), np.shape(log_probs)))
+        cand = logp[:, None] + np.asarray(log_probs, dtype=np.float64)
+        if step < min_len:
+            cand[:, eos_id] = -np.inf
+        width = cand.shape[1]
+        flat = cand.ravel()
+        neg = -flat
+        neg[np.isnan(neg)] = np.inf       # NaN ranks last, as in a full sort
         k = min(beam_size, flat.size)
-        order = np.argsort(-flat, kind="stable")[:k]
-        next_live = []
-        for idx in order:
-            h_idx, token = divmod(int(idx), width)
-            logp = float(flat[idx])
-            if not np.isfinite(logp):
-                continue
-            parent = live[h_idx]
-            steps = parent.steps + 1
-            if token == eos_id:
-                finished.append(Hypothesis(tokens=parent.tokens, logp=logp,
-                                           state=None, steps=steps, last=token))
-            else:
-                next_live.append(Hypothesis(tokens=parent.tokens + (token,),
-                                            logp=logp, state=new_states[h_idx],
-                                            steps=steps, last=token))
-        live = next_live
-    finished.extend(Hypothesis(tokens=h.tokens, logp=h.logp, state=None,
-                               steps=h.steps, last=h.last) for h in live)
+        kth = neg[np.argpartition(neg, k - 1)[k - 1]]
+        top = np.flatnonzero(neg <= kth)  # every candidate tied with the k-th too
+        top = top[np.argsort(neg[top], kind="stable")[:k]]
+        top = top[np.isfinite(flat[top])]
+        parent, token = np.divmod(top, width)
+        ended = token == eos_id
+        for i in np.flatnonzero(ended):
+            finished.append((tokens[parent[i]], flat[top[i]] / (step + 1)))
+        keep = ~ended
+        tokens = [tokens[p] + (int(t),) for p, t in zip(parent[keep], token[keep])]
+        if not tokens:
+            break
+        logp, last = flat[top[keep]], token[keep]
+        state = new_state.select(parent[keep])
+    finished.extend(zip(tokens, logp / max_len))
     if not finished:
         return [], -np.inf
-    best = max(finished, key=lambda h: h.score)
-    return list(best.tokens), best.score
+    best_tokens, best_score = max(finished, key=lambda f: f[1])
+    return list(best_tokens), float(best_score)
 
 
 def generate(inputs: ExampleInputs, vocab: Vocabulary, params: dict,
@@ -556,13 +563,14 @@ def generate(inputs: ExampleInputs, vocab: Vocabulary, params: dict,
     with T.no_grad():
         src = encode_source(inputs, vocab, params, config, rng=None, train=False)
         state0 = init_decoder(src, params, config)
+        start = DecoderState(hidden=[T.reshape(h, (1, -1)) for h in state0.hidden])
 
-        def step(state, prev_id):
-            st = state if state is not None else state0
+        def step(state, prev_ids):
             # copied source-only tokens have no embedding row; feed UNK
-            prev = prev_id if prev_id < len(vocab) else UNK_ID
+            prev = np.where(prev_ids < len(vocab), prev_ids, UNK_ID)
             final_dist, _, new_state, _ = decode_step(
-                st, prev, spec, coh, src, params, config, rng=None, train=False)
+                start if state is None else state, prev, spec, coh, src, params,
+                config, rng=None, train=False)
             return np.log(np.maximum(final_dist.data, 1e-300)), new_state
 
         ids, _ = beam_search(step, BOS_ID, EOS_ID, beam_size, max_len,
@@ -574,10 +582,3 @@ def generate(inputs: ExampleInputs, vocab: Vocabulary, params: dict,
         else:
             out.append(src.oov_list[i - len(vocab)])
     return out
-
-
-def greedy_generate(inputs: ExampleInputs, vocab: Vocabulary, params: dict,
-                    config: ModelConfig, max_len: int = 30,
-                    spec_level=None, coh_level=None) -> list:
-    return generate(inputs, vocab, params, config, beam_size=1,
-                    max_len=max_len, spec_level=spec_level, coh_level=coh_level)

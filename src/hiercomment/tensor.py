@@ -290,6 +290,26 @@ def stack_rows(vectors) -> Tensor:
     return _make(data, vectors, vjp)
 
 
+def transpose(x: Tensor) -> Tensor:
+    """Transpose of a 2-D tensor."""
+    x = _as_tensor(x)
+    if x.data.ndim != 2:
+        raise ShapeError("transpose: expected 2-D tensor, got %r" % (x.shape,))
+
+    def vjp(g):
+        _accum(x, g.T)
+    return _make(x.data.T, (x,), vjp)
+
+
+def reshape(x: Tensor, shape) -> Tensor:
+    x = _as_tensor(x)
+    data = x.data.reshape(shape)
+
+    def vjp(g):
+        _accum(x, g.reshape(x.data.shape))
+    return _make(data, (x,), vjp)
+
+
 def row(x: Tensor, i: int) -> Tensor:
     x = _as_tensor(x)
     data = x.data[i].copy()
@@ -346,14 +366,14 @@ def embedding_gather(table: Tensor, ids) -> Tensor:
 
 
 def scatter_sum(values: Tensor, index, size: int) -> Tensor:
-    """out[j] = sum of values[i] over positions i with index[i] == j."""
+    """out[..., j] = sum of values[..., i] over positions i with index[i] == j."""
     values = _as_tensor(values)
     index = np.asarray(index, dtype=np.int64)
-    data = np.zeros(size, dtype=np.float64)
-    np.add.at(data, index, values.data)
+    data = np.zeros(values.data.shape[:-1] + (size,), dtype=np.float64)
+    np.add.at(data, (..., index), values.data)
 
     def vjp(g):
-        _accum(values, g[index])
+        _accum(values, g[..., index])
     return _make(data, (values,), vjp)
 
 
@@ -396,7 +416,8 @@ def gru_step(gi: Tensor, h_prev: Tensor, wh: Tensor, bh: Tensor) -> Tensor:
     Gates: z = sigm(gi_z + gh_z), r = sigm(gi_r + gh_r),
     n = tanh(gi_n + r * gh_n) with gh = h_prev @ wh + bh, and
     h_next = z * h_prev + (1 - z) * n, so zero weights give
-    h_next = 0.5 * h_prev.
+    h_next = 0.5 * h_prev.  gi and h_prev may carry a leading batch
+    axis: (B, 3H) and (B, H).
 
     Fused into a single tape node with a hand-written backward pass.
     """
@@ -406,8 +427,9 @@ def gru_step(gi: Tensor, h_prev: Tensor, wh: Tensor, bh: Tensor) -> Tensor:
         raise ShapeError("gru_step: gi has %r, expected last dim %d"
                          % (gi.data.shape, 3 * hsize))
     gh = h_prev.data @ wh.data + bh.data
-    giz, gir, gin = gi.data[:hsize], gi.data[hsize:2 * hsize], gi.data[2 * hsize:]
-    ghz, ghr, ghn = gh[:hsize], gh[hsize:2 * hsize], gh[2 * hsize:]
+    h1, h2 = hsize, 2 * hsize
+    giz, gir, gin = gi.data[..., :h1], gi.data[..., h1:h2], gi.data[..., h2:]
+    ghz, ghr, ghn = gh[..., :h1], gh[..., h1:h2], gh[..., h2:]
     z = 1.0 / (1.0 + np.exp(-(giz + ghz)))
     r = 1.0 / (1.0 + np.exp(-(gir + ghr)))
     n = np.tanh(gin + r * ghn)
@@ -422,11 +444,15 @@ def gru_step(gi: Tensor, h_prev: Tensor, wh: Tensor, bh: Tensor) -> Tensor:
         dghn = dan * r
         daz = dz * z * (1.0 - z)
         dar = dr * r * (1.0 - r)
-        dgh = np.concatenate([daz, dar, dghn])
-        _accum(gi, np.concatenate([daz, dar, dgin]))
+        dgh = np.concatenate([daz, dar, dghn], axis=-1)
+        _accum(gi, np.concatenate([daz, dar, dgin], axis=-1))
         _accum(h_prev, dgh @ wh.data.T + g * z)
-        _accum(wh, np.outer(h_prev.data, dgh))
-        _accum(bh, dgh)
+        if dgh.ndim == 1:
+            _accum(wh, np.outer(h_prev.data, dgh))
+            _accum(bh, dgh)
+        else:
+            _accum(wh, h_prev.data.T @ dgh)
+            _accum(bh, dgh.sum(axis=0))
     return _make(out_data, (gi, h_prev, wh, bh), vjp)
 
 

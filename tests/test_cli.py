@@ -3,10 +3,12 @@ import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hiercomment import corpus as C
 from hiercomment import model as M
+from hiercomment import tensor as T
 from hiercomment.cli import (
     ABLATION_FLAGS,
     DEFAULT_RUN_CONFIG,
@@ -15,7 +17,7 @@ from hiercomment.cli import (
     load_run_config,
     main,
 )
-from hiercomment.text import tokenize
+from hiercomment.text import BOS_ID, EOS_ID, UNK_ID, tokenize
 from hiercomment.training import load_train_checkpoint
 
 TOY = str(Path(__file__).resolve().parent.parent / "data" / "toy_java")
@@ -267,6 +269,8 @@ class TestGenerate:
         assert again.read_bytes() == pipeline["pred"].read_bytes()
 
     def test_beam_1_matches_greedy_decode(self, pipeline, tmp_path):
+        """Beam 1 over the batched decoder equals a greedy loop over the
+        single-hypothesis decode_step."""
         out = tmp_path / "beam1.jsonl"
         assert main(["generate", str(pipeline["ckpts"] / "seq2seq.ckpt"),
                      str(pipeline["test"]), str(out), "--beam", "1"]) == 0
@@ -276,13 +280,49 @@ class TestGenerate:
                 for l in out.read_text().splitlines()}
         for ex in C.read_examples(str(pipeline["test"])):
             inputs = M.ExampleInputs.from_example(ex, meta["mode"])
-            greedy = M.greedy_generate(inputs, vocab, params, mc, max_len=30)
+            with T.no_grad():
+                src = M.encode_source(inputs, vocab, params, mc)
+                state = M.init_decoder(src, params, mc)
+                prev, greedy = BOS_ID, []
+                for _ in range(30):
+                    dist, _, state, _ = M.decode_step(state, prev, mc.k_levels,
+                                                      mc.k_levels, src, params, mc)
+                    p = dist.data.copy()
+                    if not greedy:
+                        p[EOS_ID] = 0.0
+                    tok = int(np.argmax(p))
+                    if tok == EOS_ID:
+                        break
+                    greedy.append(vocab.token_of(tok) if tok < len(vocab)
+                                  else src.oov_list[tok - len(vocab)])
+                    # copied source-only tokens are fed back as UNK
+                    prev = tok if tok < len(vocab) else UNK_ID
             assert rows[ex.id] == greedy, ex.id
 
     def test_beam_0_exits_2(self, pipeline, tmp_path):
         assert main(["generate", str(pipeline["ckpts"] / "seq2seq.ckpt"),
                      str(pipeline["test"]), str(tmp_path / "p.jsonl"),
                      "--beam", "0"]) == 2
+
+    @pytest.mark.parametrize("max_len", ["0", "-3"])
+    def test_max_len_0_exits_2(self, pipeline, tmp_path, capsys, max_len):
+        assert main(["generate", str(pipeline["ckpts"] / "seq2seq.ckpt"),
+                     str(pipeline["test"]), str(tmp_path / "p.jsonl"),
+                     "--max-len", max_len]) == 2
+        assert "--max-len must be >= 1" in capsys.readouterr().err
+
+    def test_summary_counts_predictions_cut_off_at_max_len(self, pipeline, tmp_path,
+                                                           capsys):
+        out = tmp_path / "short.jsonl"
+        assert main(["generate", str(pipeline["ckpts"] / "seq2seq.ckpt"),
+                     str(pipeline["test"]), str(out), "--beam", "2",
+                     "--max-len", "2"]) == 0
+        preds = [json.loads(l)["prediction"] for l in out.read_text().splitlines()]
+        cut = sum(len(p) == 2 for p in preds)
+        assert cut > 0
+        assert all(len(p) <= 2 for p in preds)
+        assert ("(beam 2; %d reached --max-len 2 without EOS)" % cut
+                in capsys.readouterr().out)
 
     def test_out_of_range_level_exits_2(self, pipeline, tmp_path):
         assert main(["generate", str(pipeline["ckpts"] / "no-ul.ckpt"),

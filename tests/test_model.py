@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.testing as npt
@@ -296,6 +297,58 @@ class TestDecodeStep:
         d5, _, _, _ = decode_step(state, BOS_ID, 5, 3, src, fm.params, fm.cfg)
         assert not np.array_equal(d1.data, d5.data)
 
+    def test_batched_rows_match_single_hypothesis_steps(self):
+        for flags in [{}, {"use_specificity": False, "use_coherence": False}]:
+            fm = FixtureModel(**flags)
+            for method in (["zap", "int", "zap"], ["int", "x"]):
+                src = fm.source(make_inputs(method_tokens=method))
+                state = init_decoder(src, fm.params, fm.cfg)
+                # three hypotheses with different histories
+                singles = []
+                for prev in (BOS_ID, 5, 9):
+                    _, _, st, _ = decode_step(state, prev, 3, 2, src, fm.params, fm.cfg)
+                    singles.append(st)
+                batch = M.DecoderState(
+                    hidden=[T.const(np.stack([st.hidden[layer].data for st in singles]))
+                            for layer in range(fm.cfg.dec_layers)], t=1)
+                prev_ids = np.array([7, 7, 11])
+                dist, p_gen, new, attn = decode_step(batch, prev_ids, 3, 2, src,
+                                                     fm.params, fm.cfg)
+                assert dist.data.shape == (3, src.ext_vocab_size)
+                assert p_gen.data.shape == (3,) and new.t == 2
+                for b, st in enumerate(singles):
+                    d1, g1, n1, a1 = decode_step(st, int(prev_ids[b]), 3, 2, src,
+                                                 fm.params, fm.cfg)
+                    npt.assert_allclose(dist.data[b], d1.data, atol=1e-12)
+                    npt.assert_allclose(p_gen.data[b], g1.data, atol=1e-12)
+                    npt.assert_allclose(attn.data[b], a1.data, atol=1e-12)
+                    for layer in range(fm.cfg.dec_layers):
+                        npt.assert_allclose(new.hidden[layer].data[b],
+                                            n1.hidden[layer].data, atol=1e-12)
+
+    def test_batched_step_gradient_check(self):
+        fm = FixtureModel()
+        inputs = make_inputs(method_tokens=["zap", "int", "zap"])
+        targets = np.array([3, len(fm.vocab), 8])
+
+        def build():
+            src = fm.source(inputs)
+            state = init_decoder(src, fm.params, fm.cfg)
+            batch = M.DecoderState(hidden=[T.reshape(h, (1, -1)) for h in state.hidden])
+            batch = batch.select(np.array([0, 0, 0]))
+            dist, _, _, _ = decode_step(batch, np.array([BOS_ID, 4, 6]), 2, 4, src,
+                                        fm.params, fm.cfg)
+            picked = T.mul(dist, T.const(np.eye(dist.shape[1])[targets]))
+            return T.tsum(T.log(T.tsum(picked, axis=1)))
+        err = T.grad_check(build, fm.params, max_coords=20, seed=3)
+        assert err < 1e-4
+
+    def test_select_gathers_rows_in_order(self):
+        state = M.DecoderState(hidden=[T.const(np.arange(6.0).reshape(3, 2))], t=4)
+        picked = state.select(np.array([2, 0, 2]))
+        npt.assert_allclose(picked.hidden[0].data, [[4, 5], [0, 1], [4, 5]])
+        assert picked.t == 4
+
 
 class TestInitDecoder:
     def test_shapes(self):
@@ -487,6 +540,92 @@ def enumerate_best(step_table, eos_id, n_tokens, max_len, min_len=1):
     return best
 
 
+@dataclass
+class Hypothesis:
+    tokens: tuple
+    logp: float
+    state: object
+    steps: int
+    last: int
+
+    @property
+    def score(self) -> float:
+        return self.logp / max(self.steps, 1)
+
+
+def reference_beam_search(step_fn, bos_id, eos_id, beam_size, max_len, min_len=1):
+    """Per-hypothesis beam search: one `step_fn(state, prev_id)` call per
+    live hypothesis and a full stable sort of the beam x W scores per step.
+    The batched `beam_search` must agree with it exactly."""
+    live = [Hypothesis(tokens=(), logp=0.0, state=None, steps=0, last=bos_id)]
+    finished = []
+    for _ in range(max_len):
+        if not live:
+            break
+        all_scores = []
+        new_states = []
+        for hyp in live:
+            log_probs, new_state = step_fn(hyp.state, hyp.last)
+            log_probs = np.asarray(log_probs, dtype=np.float64).copy()
+            if len(hyp.tokens) < min_len:
+                log_probs[eos_id] = -np.inf
+            all_scores.append(hyp.logp + log_probs)
+            new_states.append(new_state)
+        flat = np.concatenate(all_scores)
+        width = len(all_scores[0])
+        k = min(beam_size, flat.size)
+        order = np.argsort(-flat, kind="stable")[:k]
+        next_live = []
+        for idx in order:
+            h_idx, token = divmod(int(idx), width)
+            logp = float(flat[idx])
+            if not np.isfinite(logp):
+                continue
+            parent = live[h_idx]
+            steps = parent.steps + 1
+            if token == eos_id:
+                finished.append(Hypothesis(tokens=parent.tokens, logp=logp,
+                                           state=None, steps=steps, last=token))
+            else:
+                next_live.append(Hypothesis(tokens=parent.tokens + (token,),
+                                            logp=logp, state=new_states[h_idx],
+                                            steps=steps, last=token))
+        live = next_live
+    finished.extend(live)
+    if not finished:
+        return [], -np.inf
+    best = max(finished, key=lambda h: h.score)
+    return list(best.tokens), best.score
+
+
+@dataclass
+class Rows:
+    """Batched beam state of per-hypothesis step functions: one state per row."""
+    states: list
+    t: int = 0
+
+    def select(self, rows):
+        return Rows([self.states[i] for i in rows], self.t)
+
+
+def batched(step_fn):
+    """A batched step function that calls per-hypothesis `step_fn` per row."""
+    def step(state, prev_ids):
+        states = [None] if state is None else state.states
+        out = [step_fn(s, int(p)) for s, p in zip(states, prev_ids)]
+        t = 0 if state is None else state.t
+        return np.stack([lp for lp, _ in out]), Rows([s for _, s in out], t + 1)
+    return step
+
+
+def table_step(table):
+    """Per-hypothesis step function over a table keyed by token prefix."""
+    def step(state, prev):
+        prefix = () if state is None else state + (prev,)
+        return table[prefix], prefix
+    return step
+
+
 class TestBeamSearch:
     def build_table(self, seed, n_tokens=4, max_len=3):
         rng = np.random.default_rng(seed)
@@ -501,12 +640,7 @@ class TestBeamSearch:
         eos = 3
         for seed in range(8):
             table = self.build_table(seed)
-
-            def step_tracking(state, prev):
-                prefix = () if state is None else state + (prev,)
-                return table[prefix], prefix
-
-            got_tokens, got_score = beam_search(step_tracking, bos_id=99,
+            got_tokens, got_score = beam_search(batched(table_step(table)), bos_id=99,
                                                 eos_id=eos, beam_size=64,
                                                 max_len=3)
             want_tokens, want_score = enumerate_best(table, eos, 4, 3)
@@ -516,13 +650,8 @@ class TestBeamSearch:
     def test_beam_one_equals_greedy(self):
         eos = 3
         table = self.build_table(123)
-
-        def step(state, prev):
-            prefix = () if state is None else state + (prev,)
-            return table[prefix], prefix
-
-        tokens, _ = beam_search(step, bos_id=99, eos_id=eos, beam_size=1,
-                                max_len=3)
+        tokens, _ = beam_search(batched(table_step(table)), bos_id=99, eos_id=eos,
+                                beam_size=1, max_len=3)
         prefix = ()
         greedy = []
         for _ in range(3):
@@ -546,7 +675,7 @@ class TestBeamSearch:
                 return lp, 1
             return np.log(np.array([1e-9, 1e-9, 1.0 - 2e-9])), n + 1
 
-        tokens, _ = beam_search(step, bos_id=9, eos_id=eos, beam_size=5,
+        tokens, _ = beam_search(batched(step), bos_id=9, eos_id=eos, beam_size=5,
                                 max_len=4)
         assert tokens == [1]
 
@@ -558,11 +687,7 @@ class TestBeamSearch:
             for length in range(5):
                 for seq in itertools.product(range(5), repeat=length):
                     table[seq] = np.log(rng.dirichlet(np.ones(5)))
-
-            def step(state, prev):
-                prefix = () if state is None else state + (prev,)
-                return table[prefix], prefix
-
+            step = batched(table_step(table))
             _, s1 = beam_search(step, 9, eos, beam_size=1, max_len=4)
             _, s8 = beam_search(step, 9, eos, beam_size=8, max_len=4)
             assert s8 >= s1 - 1e-12
@@ -573,16 +698,63 @@ class TestBeamSearch:
         def step(state, prev):
             return np.log(np.array([0.01, 0.98, 0.01])), None
 
-        tokens, _ = beam_search(step, 9, eos, beam_size=2, max_len=3,
+        tokens, _ = beam_search(batched(step), 9, eos, beam_size=2, max_len=3,
                                 min_len=2)
         assert len(tokens) >= 2
         assert eos not in tokens
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            beam_search(lambda s, p: (np.zeros(3), s), 0, 1, beam_size=0, max_len=3)
+            beam_search(lambda s, p: (np.zeros((1, 3)), s), 0, 1, beam_size=0, max_len=3)
         with pytest.raises(ValueError):
-            beam_search(lambda s, p: (np.zeros(3), s), 0, 1, beam_size=2, max_len=0)
+            beam_search(lambda s, p: (np.zeros((1, 3)), s), 0, 1, beam_size=2, max_len=0)
+
+    def test_step_fn_must_return_one_row_per_hypothesis(self):
+        with pytest.raises(ValueError, match="shape"):
+            beam_search(lambda s, p: (np.zeros(3), s), 0, 1, beam_size=2, max_len=3)
+
+    def test_one_step_fn_call_per_step(self):
+        table = self.build_table(5)
+        calls = []
+        step = batched(table_step(table))
+
+        def counting(state, prev_ids):
+            calls.append(len(prev_ids))
+            return step(state, prev_ids)
+
+        beam_search(counting, 99, 3, beam_size=4, max_len=3)
+        assert len(calls) == 3
+        assert calls[0] == 1 and max(calls) <= 4
+
+    @staticmethod
+    def agree_with_reference(n_cases, bad):
+        """Random tables of log-probs rounded to 0.1 (so ties are common)
+        with ~15% `bad` entries; tokens and scores must match exactly."""
+        for case in range(n_cases):
+            rng = np.random.default_rng(case)
+            width = int(rng.integers(2, 6))
+            eos = int(rng.integers(0, width))
+            beam = int(rng.integers(1, 9))
+            max_len = int(rng.integers(1, 5))
+            min_len = int(rng.integers(0, 3))
+
+            def step(state, prev, case=case, width=width):
+                prefix = () if state is None else state + (prev,)
+                r = np.random.default_rng([case, len(prefix), *prefix])
+                lp = np.round(r.uniform(-3.0, 0.0, size=width), 1)
+                lp[r.random(width) < 0.15] = bad
+                return lp, prefix
+
+            want = reference_beam_search(step, 99, eos, beam, max_len, min_len)
+            got = beam_search(batched(step), 99, eos, beam, max_len, min_len)
+            assert got[0] == want[0], case
+            assert got[1] == want[1], case
+
+    def test_agrees_with_reference_on_tie_heavy_tables(self):
+        self.agree_with_reference(400, -np.inf)
+
+    def test_nan_log_probs_rank_last_as_in_reference(self):
+        self.agree_with_reference(100, np.nan)
 
 
 class TestGenerate:
@@ -606,6 +778,28 @@ class TestGenerate:
         default = generate(inputs, fm.vocab, fm.params, fm.cfg, beam_size=3,
                            max_len=5)
         assert top == default
+
+    def test_matches_per_hypothesis_reference(self):
+        """The batched decoder under beam search picks what the reference
+        beam search picks over one single-hypothesis decode_step per call."""
+        fm = FixtureModel()
+        for method in (["zap", "int", "zap"], ["int", "x", "(", ")"]):
+            inputs = make_inputs(method_tokens=method)
+            got = generate(inputs, fm.vocab, fm.params, fm.cfg, beam_size=4, max_len=6)
+            with T.no_grad():
+                src = fm.source(inputs)
+                state0 = init_decoder(src, fm.params, fm.cfg)
+
+                def step(state, prev_id):
+                    prev = prev_id if prev_id < len(fm.vocab) else UNK_ID
+                    dist, _, new_state, _ = decode_step(
+                        state0 if state is None else state, prev, 5, 5, src,
+                        fm.params, fm.cfg)
+                    return np.log(np.maximum(dist.data, 1e-300)), new_state
+                ids, _ = reference_beam_search(step, BOS_ID, EOS_ID, 4, 6)
+            want = [fm.vocab.token_of(i) if i < len(fm.vocab)
+                    else src.oov_list[i - len(fm.vocab)] for i in ids]
+            assert got == want
 
     def test_copy_only_model_emits_source_surface_tokens(self):
         fm = FixtureModel()

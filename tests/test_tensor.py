@@ -261,6 +261,71 @@ class TestGRU:
         npt.assert_allclose(states[3].data, lone[3 - 3].data)
 
 
+class TestBatchedOps:
+    """Ops the batched decoder runs with a leading batch axis, at B=3."""
+
+    def test_gru_cell_rows_match_unbatched_and_fd(self):
+        rng = np.random.default_rng(14)
+        w = _gru_weights(rng, 3, 4)
+        x = _p(rng, 3, 3)
+        h0 = _p(rng, 3, 4)
+        out = T.gru_cell(x, h0, w)
+        for b in range(3):
+            one = T.gru_cell(T.const(x.data[b]), T.const(h0.data[b]), w)
+            npt.assert_allclose(out.data[b], one.data, atol=1e-12)
+
+        def loss():
+            o = T.gru_cell(x, h0, w)
+            return T.tsum(T.mul(o, o))
+        assert T.grad_check(loss, {"x": x, "h0": h0, **w}) < 1e-4
+
+    def test_scatter_sum_rows_and_fd(self):
+        rng = np.random.default_rng(15)
+        v = _p(rng, 3, 4)
+        index = [2, 0, 2, 1]
+        out = T.scatter_sum(v, index, size=5)
+        for b in range(3):
+            npt.assert_allclose(out.data[b], T.scatter_sum(T.const(v.data[b]), index, 5).data)
+        w = T.const(rng.normal(size=(3, 5)))
+        assert T.grad_check(lambda: T.tsum(T.mul(T.scatter_sum(v, index, 5), w)),
+                            {"v": v}) < 1e-4
+
+    def test_softmax_last_axis_fd(self):
+        rng = np.random.default_rng(16)
+        x = _p(rng, 3, 5)
+        w = T.const(rng.normal(size=(3, 5)))
+        assert T.grad_check(lambda: T.tsum(T.mul(T.softmax(x, axis=-1), w)),
+                            {"x": x}) < 1e-4
+
+    def test_concat_last_axis_fd(self):
+        rng = np.random.default_rng(17)
+        a, b = _p(rng, 3, 2), _p(rng, 3, 4)
+        w = T.const(rng.normal(size=(3, 6)))
+        assert T.grad_check(lambda: T.tsum(T.mul(T.concat([a, b], axis=-1), w)),
+                            {"a": a, "b": b}) < 1e-4
+
+    def test_transpose_and_reshape_fd(self):
+        rng = np.random.default_rng(18)
+        a, b = _p(rng, 3, 4), _p(rng, 3)
+        w = T.const(rng.normal(size=(3, 3)))
+        npt.assert_allclose(T.transpose(a).data, a.data.T)
+        assert T.reshape(b, (-1, 1)).data.shape == (3, 1)
+
+        def loss():
+            m = T.matmul(a, T.transpose(a))               # (3, 3)
+            return T.tsum(T.mul(T.mul(m, T.reshape(b, (-1, 1))), w))
+        assert T.grad_check(loss, {"a": a, "b": b}) < 1e-4
+        with pytest.raises(T.ShapeError, match="transpose"):
+            T.transpose(b)
+
+    def test_embedding_gather_fd(self):
+        rng = np.random.default_rng(19)
+        table = _p(rng, 5, 2)
+        w = T.const(rng.normal(size=(3, 2)))
+        assert T.grad_check(lambda: T.tsum(T.mul(T.embedding_gather(table, [4, 1, 4]), w)),
+                            {"table": table}) < 1e-4
+
+
 class TestAdam:
     def test_first_step_closed_form(self):
         p = T.parameter(np.array([1.0, -2.0]))

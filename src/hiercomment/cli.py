@@ -308,15 +308,25 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _eval_setting(args, attr: str, key: str):
+    """(value, name): the flag `attr` when given, else eval.<key> of the run
+    config, which without --config is DEFAULT_RUN_CONFIG's."""
+    value = getattr(args, attr)
+    if value is not None:
+        return value, "--" + attr.replace("_", "-")
+    return load_run_config(args.config)["eval"][key], "eval." + key
+
+
 def cmd_generate(args) -> int:
     params, model_config, vocab, meta = _check(TR.load_train_checkpoint, args.ckpt)
     mode = meta.get("mode", "first")
-    max_len = args.max_len if args.max_len is not None \
-        else (30 if mode == "first" else 60)
-    if args.beam < 1:
-        raise CliError("--beam must be >= 1")
-    if max_len < 1:
-        raise CliError("--max-len must be >= 1")
+    beam, beam_name = _eval_setting(args, "beam", "beam_size")
+    max_len, max_len_name = _eval_setting(args, "max_len", "max_len")
+    if max_len is None:
+        max_len = 30 if mode == "first" else 60
+    for name, value in ((beam_name, beam), (max_len_name, max_len)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise CliError("%s must be >= 1" % name)
     for label, level in (("--spec-level", args.spec_level),
                          ("--coh-level", args.coh_level)):
         if level is not None and not 1 <= level <= model_config.k_levels:
@@ -326,7 +336,7 @@ def cmd_generate(args) -> int:
     for ex in examples:
         inputs = M.ExampleInputs.from_example(ex, mode)
         tokens = M.generate(inputs, vocab, params, model_config,
-                            beam_size=args.beam, max_len=max_len,
+                            beam_size=beam, max_len=max_len,
                             spec_level=args.spec_level,
                             coh_level=args.coh_level)
         rows.append({"id": ex.id, "prediction": tokens})
@@ -334,7 +344,7 @@ def cmd_generate(args) -> int:
     # a prediction of max_len tokens never emitted EOS (EOS takes a step)
     cut = sum(len(row["prediction"]) == max_len for row in rows)
     print("generated %d predictions (beam %d; %d reached --max-len %d without EOS) -> %s"
-          % (len(rows), args.beam, cut, max_len, args.out))
+          % (len(rows), beam, cut, max_len, args.out))
     return 0
 
 
@@ -399,11 +409,13 @@ def cmd_compare(args) -> int:
     name_b = os.path.splitext(os.path.basename(args.report_b))[0]
     comparison = {"model_a": name_a, "model_b": name_b, "test": args.test,
                   "n": len(ids), "metrics": {}}
+    resamples, _ = _eval_setting(args, "resamples", "bootstrap_n")
+    seed, _ = _eval_setting(args, "seed", "seed")
     for metric in METRIC_NAMES:
         a = [by_id_a[i][metric] for i in ids]
         b = [by_id_b[i][metric] for i in ids]
         if args.test == "bootstrap":
-            res = _check(MT.bootstrap_test, a, b, n=args.resamples, seed=args.seed)
+            res = _check(MT.bootstrap_test, a, b, n=resamples, seed=seed)
         else:
             res = _check(MT.wilcoxon_signed_rank, a, b)
         comparison["metrics"][metric] = {
@@ -477,7 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ckpt", help="checkpoint file")
     p.add_argument("split", help="examples JSONL")
     p.add_argument("out", help="predictions JSONL")
-    p.add_argument("--beam", type=int, default=20)
+    p.add_argument("--config", default=None,
+                   help="run config JSON whose eval section sets the defaults")
+    p.add_argument("--beam", type=int, default=None, help="beam size (default 20)")
     p.add_argument("--max-len", type=int, default=None,
                    help="decode length cap (default 30 first / 60 full)")
     p.add_argument("--spec-level", type=int, default=None,
@@ -503,9 +517,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="significance test between two eval reports")
     p.add_argument("report_a")
     p.add_argument("report_b")
+    p.add_argument("--config", default=None,
+                   help="run config JSON whose eval section sets the defaults")
     p.add_argument("--test", choices=("bootstrap", "wilcoxon"), default="bootstrap")
-    p.add_argument("--resamples", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--resamples", type=int, default=None,
+                   help="bootstrap resamples (default 10000)")
+    p.add_argument("--seed", type=int, default=None, help="bootstrap seed (default 0)")
     p.add_argument("--out", default=None, help="comparison JSON (stdout when omitted)")
     p.add_argument("--csv", default=None, help="optional model-by-metric CSV")
     p.set_defaults(func=cmd_compare)

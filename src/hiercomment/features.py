@@ -351,29 +351,34 @@ def train_static_embeddings(token_seqs: list[list[str]], dim: int = 64,
     if n == 0:
         return StaticEmbeddingTable([], np.zeros((0, 1)))
 
-    counts = np.zeros((n, n), dtype=np.float64)
-    for seq in token_seqs:
-        ids = [index.get(t, -1) for t in seq]
-        for i, ti in enumerate(ids):
-            if ti < 0:
-                continue
-            for j in range(i + 1, min(i + 1 + window, len(ids))):
-                tj = ids[j]
-                if tj < 0:
-                    continue
-                counts[ti, tj] += 1.0
-                counts[tj, ti] += 1.0
+    # sequences end to end; a pair counts only inside one sequence, and an
+    # OOV token (-1) holds its window position without ever pairing
+    ids = np.fromiter((index.get(t, -1) for seq in token_seqs for t in seq), dtype=np.int64)
+    owner = np.repeat(np.arange(len(token_seqs)), [len(seq) for seq in token_seqs])
+    pairs = [np.zeros(0, dtype=np.int64)]
+    for k in range(1, window + 1):
+        a, b = ids[:-k], ids[k:]
+        keep = (a >= 0) & (b >= 0) & (owner[:-k] == owner[k:])
+        a, b = a[keep], b[keep]
+        pairs += [a * n + b, b * n + a]
+    cells, counts = np.unique(np.concatenate(pairs), return_counts=True)
+    del ids, owner, pairs
 
+    counts = counts.astype(np.float64)
     total = counts.sum()
     d = min(dim, n)
     if total == 0:
         return StaticEmbeddingTable(tokens, np.zeros((n, d)))
-    marg = counts.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        expected = np.outer(marg, marg) / total
-        ratio = np.where(expected > 0, counts * total / np.maximum(expected * total, 1e-300), 0.0)
-        ppmi = np.where(ratio > 0, np.log(np.maximum(ratio, 1e-300)), 0.0)
-    ppmi = np.maximum(ppmi, 0.0)
+    rows, cols = np.divmod(cells, n)
+    marg = np.bincount(rows, weights=counts, minlength=n)
+    # the dense formulas restricted to the non-zero cells, where expected > 0
+    expected = marg[rows] * marg[cols] / total
+    ratio = counts * total / np.maximum(expected * total, 1e-300)
+    values = np.maximum(np.log(ratio), 0.0)
+    del rows, cols, counts, expected, ratio
+    ppmi = np.zeros((n, n))
+    ppmi.flat[cells] = values
+    del cells, values
 
     eigvals, eigvecs = np.linalg.eigh(ppmi)
     order = np.argsort(eigvals)[::-1][:d]

@@ -285,6 +285,8 @@ def bootstrap_test(scores_a, scores_b, n: int = 10000,
         raise ValueError("bootstrap_test needs equal-length 1-D paired scores")
     if a.size == 0:
         raise ValueError("bootstrap_test needs at least one pair")
+    if n < 1:
+        raise ValueError("bootstrap_test needs at least one resample, got n=%d" % n)
     rng = np.random.default_rng(seed)
     diff = a - b
     idx = rng.integers(0, a.size, size=(n, a.size))

@@ -9,6 +9,7 @@ always reproduces the lowercased input text with whitespace removed.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from collections import Counter
@@ -44,6 +45,16 @@ def _split_case_runs(piece: str) -> list[str]:
     return out
 
 
+# a corpus repeats its identifiers, so each distinct word is split once
+@functools.lru_cache(maxsize=1 << 16)
+def _subtokens(token: str) -> tuple[str, ...]:
+    parts: list[str] = []
+    for piece in token.split("_"):
+        if piece:
+            parts.extend(_split_case_runs(piece))
+    return tuple(p.lower() for p in parts if p)
+
+
 def subtokenize(token: str) -> list[str]:
     """Split an identifier into lowercased subtokens.
 
@@ -54,11 +65,7 @@ def subtokenize(token: str) -> list[str]:
     Underscores are dropped; every other character is preserved, so
     "".join(subtokenize(t)) == t.lower().replace("_", "").
     """
-    parts: list[str] = []
-    for piece in token.split("_"):
-        if piece:
-            parts.extend(_split_case_runs(piece))
-    return [p.lower() for p in parts if p]
+    return list(_subtokens(token))
 
 
 def tokenize(text: str) -> list[str]:
@@ -67,7 +74,7 @@ def tokenize(text: str) -> list[str]:
     for m in _TOKEN_RE.finditer(text):
         raw = m.group(0)
         if raw[0].isalnum() or raw[0] in "_$":
-            out.extend(subtokenize(raw))
+            out.extend(_subtokens(raw))
         else:
             out.append(raw)
     return out

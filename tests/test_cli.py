@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hiercomment import corpus as C
+from hiercomment import metrics as MT
 from hiercomment import model as M
 from hiercomment import tensor as T
 from hiercomment.cli import (
@@ -21,6 +22,7 @@ from hiercomment.text import BOS_ID, EOS_ID, UNK_ID, tokenize
 from hiercomment.training import load_train_checkpoint
 
 TOY = str(Path(__file__).resolve().parent.parent / "data" / "toy_java")
+TOY_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "toy.json")
 
 # small everything: these tests exercise wiring, not model quality
 TINY_CONFIG = {
@@ -324,6 +326,36 @@ class TestGenerate:
         assert ("(beam 2; %d reached --max-len 2 without EOS)" % cut
                 in capsys.readouterr().out)
 
+    def test_config_eval_section_sets_beam_and_max_len(self, pipeline, tmp_path, capsys):
+        assert main(["generate", str(pipeline["ckpts"] / "seq2seq.ckpt"),
+                     str(pipeline["test"]), str(tmp_path / "p.jsonl"),
+                     "--config", TOY_CONFIG]) == 0
+        out = capsys.readouterr().out
+        assert "(beam 5; " in out and "reached --max-len 30 without EOS" in out
+        assert json.loads(Path(TOY_CONFIG).read_text())["eval"] == {
+            "beam_size": 5, "max_len": 30, "bootstrap_n": 10000, "seed": 0}
+
+    def test_flags_override_config(self, pipeline, tmp_path, capsys):
+        assert main(["generate", str(pipeline["ckpts"] / "seq2seq.ckpt"),
+                     str(pipeline["test"]), str(tmp_path / "p.jsonl"),
+                     "--config", TOY_CONFIG, "--beam", "3", "--max-len", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "(beam 3; " in out and "reached --max-len 2 without EOS" in out
+
+    def test_defaults_without_config(self, pipeline, tmp_path, capsys):
+        assert main(["generate", str(pipeline["ckpts"] / "seq2seq.ckpt"),
+                     str(pipeline["test"]), str(tmp_path / "p.jsonl"),
+                     "--max-len", "1"]) == 0
+        assert "(beam 20; " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key", ["beam_size", "max_len"])
+    def test_bad_config_eval_value_exits_2(self, pipeline, tmp_path, capsys, key):
+        cfg = write_config(tmp_path / "bad.json", {"eval": {key: 0}})
+        assert main(["generate", str(pipeline["ckpts"] / "seq2seq.ckpt"),
+                     str(pipeline["test"]), str(tmp_path / "p.jsonl"),
+                     "--config", cfg]) == 2
+        assert "eval.%s must be >= 1" % key in capsys.readouterr().err
+
     def test_out_of_range_level_exits_2(self, pipeline, tmp_path):
         assert main(["generate", str(pipeline["ckpts"] / "no-ul.ckpt"),
                      str(pipeline["test"]), str(tmp_path / "p.jsonl"),
@@ -486,6 +518,32 @@ class TestCompare:
         assert main(["compare", str(a), str(b), "--resamples", "200"]) == 0
         printed = json.loads(capsys.readouterr().out)
         assert set(printed["metrics"]) == set(METRIC_NAMES)
+
+    def test_config_sets_bootstrap_resamples_and_seed(self, two_reports, tmp_path,
+                                                      monkeypatch):
+        calls = []
+        real = MT.bootstrap_test
+        monkeypatch.setattr(MT, "bootstrap_test",
+                            lambda a, b, n, seed: calls.append((n, seed)) or real(a, b, n, seed))
+        a, b = two_reports
+        cfg = write_config(tmp_path / "c.json", {"eval": {"bootstrap_n": 321, "seed": 7}})
+        assert main(["compare", str(a), str(b), "--config", cfg,
+                     "--out", str(tmp_path / "c1.json")]) == 0
+        assert set(calls) == {(321, 7)}
+        calls.clear()
+        assert main(["compare", str(a), str(b), "--config", cfg, "--resamples", "50",
+                     "--seed", "2", "--out", str(tmp_path / "c2.json")]) == 0
+        assert set(calls) == {(50, 2)}
+        calls.clear()
+        assert main(["compare", str(a), str(b), "--out", str(tmp_path / "c3.json")]) == 0
+        assert set(calls) == {(10000, 0)}
+
+    def test_zero_resamples_exit_2(self, two_reports, tmp_path, capsys):
+        a, b = two_reports
+        assert main(["compare", str(a), str(b), "--resamples", "0"]) == 2
+        cfg = write_config(tmp_path / "c.json", {"eval": {"bootstrap_n": 0}})
+        assert main(["compare", str(a), str(b), "--config", cfg]) == 2
+        assert "at least one resample" in capsys.readouterr().err
 
     def test_csv_export_shape(self, two_reports, tmp_path):
         a, b = two_reports

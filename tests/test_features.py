@@ -295,6 +295,120 @@ class TestStaticEmbeddings:
         assert emb.tokens == []
 
 
+def reference_static_embeddings(token_seqs, dim=64, window=5, max_vocab=5000):
+    """The dense builder: counts filled pair by pair in an n x n matrix,
+    PPMI computed over every cell, then the same eigh and sign convention
+    as train_static_embeddings."""
+    freq = Counter()
+    for seq in token_seqs:
+        freq.update(seq)
+    tokens = sorted(freq, key=lambda t: (-freq[t], t))[:max_vocab]
+    tokens.sort()
+    index = {t: i for i, t in enumerate(tokens)}
+    n = len(tokens)
+    if n == 0:
+        return StaticEmbeddingTable([], np.zeros((0, 1)))
+    counts = np.zeros((n, n), dtype=np.float64)
+    for seq in token_seqs:
+        ids = [index.get(t, -1) for t in seq]
+        for i, ti in enumerate(ids):
+            if ti < 0:
+                continue
+            for j in range(i + 1, min(i + 1 + window, len(ids))):
+                tj = ids[j]
+                if tj < 0:
+                    continue
+                counts[ti, tj] += 1.0
+                counts[tj, ti] += 1.0
+    total = counts.sum()
+    d = min(dim, n)
+    if total == 0:
+        return StaticEmbeddingTable(tokens, np.zeros((n, d)))
+    marg = counts.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = np.outer(marg, marg) / total
+        ratio = np.where(expected > 0, counts * total / np.maximum(expected * total, 1e-300), 0.0)
+        ppmi = np.where(ratio > 0, np.log(np.maximum(ratio, 1e-300)), 0.0)
+    ppmi = np.maximum(ppmi, 0.0)
+    eigvals, eigvecs = np.linalg.eigh(ppmi)
+    order = np.argsort(eigvals)[::-1][:d]
+    lam = np.maximum(eigvals[order], 0.0)
+    vecs = eigvecs[:, order]
+    flip = np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])])
+    flip[flip == 0] = 1.0
+    emb = vecs * flip * np.sqrt(lam)
+    emb[marg == 0] = 0.0
+    return StaticEmbeddingTable(tokens, emb)
+
+
+def random_corpus(rng):
+    """Short sequences over a small alphabet: repeats inside a window are
+    common, and empty and one-token sequences occur."""
+    alphabet = ["t%d" % i for i in range(int(rng.integers(1, 30)))]
+    seqs = []
+    for _ in range(int(rng.integers(0, 25))):
+        length = int(rng.choice([0, 1, 2, int(rng.integers(3, 20))]))
+        seqs.append([alphabet[int(i)] for i in rng.integers(0, len(alphabet), length)])
+    return seqs
+
+
+class TestStaticEmbeddingsMatchDenseReference:
+    def assert_same(self, seqs, **kwargs):
+        got = train_static_embeddings(seqs, **kwargs)
+        want = reference_static_embeddings(seqs, **kwargs)
+        assert got.tokens == want.tokens
+        assert np.array_equal(got.matrix, want.matrix)
+
+    def test_random_corpora(self):
+        rng = np.random.default_rng(11)
+        oov_windows = 0
+        for _ in range(240):
+            seqs = random_corpus(rng)
+            distinct = len({t for s in seqs for t in s})
+            max_vocab = int(rng.integers(1, distinct + 2)) if distinct else 5
+            oov_windows += max_vocab < distinct
+            self.assert_same(seqs, dim=int(rng.integers(1, 12)),
+                             window=int(rng.integers(1, 7)), max_vocab=max_vocab)
+        assert oov_windows >= 50
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 4, 5, 6])
+    def test_repeats_and_oov_inside_windows(self, window):
+        seqs = [["a", "a", "b", "z", "a", "b", "b"], [], ["a"], ["b", "y", "a", "a"],
+                ["c", "a", "x", "c", "c"]]
+        self.assert_same(seqs, dim=3, window=window, max_vocab=3)
+
+    def test_no_pair_cooccurs(self):
+        seqs = [["a"], ["b"], [], ["a", "z", "b"]]
+        self.assert_same(seqs, dim=4, window=1, max_vocab=2)
+        emb = train_static_embeddings(seqs, dim=4, window=1, max_vocab=2)
+        assert emb.matrix.shape == (2, 2) and not emb.matrix.any()
+
+    def test_pairs_never_cross_a_sequence_boundary(self):
+        # end to end "a b" and "c d" would pair b with c
+        seqs = [["a", "b"], ["c", "d"], ["a", "b"], ["d", "c"], ["e"], ["f"]]
+        emb = train_static_embeddings(seqs, dim=4, window=5)
+        for token in ("e", "f"):
+            assert np.array_equal(emb.vector(token), np.zeros(emb.dim))
+        self.assert_same(seqs, dim=4, window=5)
+
+    def test_traced_peak_stays_near_one_dense_matrix(self):
+        # numpy reports array buffers to tracemalloc; eigh's LAPACK
+        # workspace is not traced, so this bounds the Python-visible arrays
+        import tracemalloc
+        rng = np.random.default_rng(3)
+        n = 1000
+        vocab = ["w%04d" % i for i in range(n)]
+        seqs = [[vocab[int(i)] for i in rng.integers(0, n, 40)] for _ in range(400)]
+        tracemalloc.start()
+        try:
+            emb = train_static_embeddings(seqs, dim=16, window=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(emb.tokens) == n
+        assert peak <= 2.5 * 8 * n * n
+
+
 class TestCoherence:
     def setup_method(self):
         self.emb = StaticEmbeddingTable(

@@ -352,6 +352,11 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             MT.bootstrap_test([], [])
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_no_resamples_rejected(self, n):
+        with pytest.raises(ValueError, match="at least one resample"):
+            MT.bootstrap_test([0.1, 0.2], [0.3, 0.1], n=n)
+
     def test_result_records_parameters(self):
         res = MT.bootstrap_test([1.0, 2.0], [0.5, 1.0], n=100, seed=9)
         assert res.n_resamples == 100

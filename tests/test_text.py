@@ -1,3 +1,4 @@
+import pathlib
 import random
 
 import pytest
@@ -72,6 +73,41 @@ class TestTokenize:
             once = tokenize_code(s)
             again = tokenize_code(" ".join(once))
             assert once == again
+
+
+def reference_tokenize(source):
+    """tokenize without the memoized identifier split."""
+    out = []
+    for m in text._TOKEN_RE.finditer(source):
+        raw = m.group(0)
+        if raw[0].isalnum() or raw[0] in "_$":
+            for piece in raw.split("_"):
+                if piece:
+                    out.extend(p.lower() for p in text._split_case_runs(piece) if p)
+        else:
+            out.append(raw)
+    return out
+
+
+class TestMemoizedSplit:
+    def test_toy_corpus_matches_uncached_reference(self):
+        root = pathlib.Path(__file__).resolve().parent.parent / "data" / "toy_java"
+        sources = [p.read_text(encoding="utf-8") for p in sorted(root.rglob("*.java"))]
+        assert sources
+        text._subtokens.cache_clear()
+        for _ in range(2):  # cold cache, then warm
+            for source in sources:
+                assert text.tokenize(source) == reference_tokenize(source)
+        assert text._subtokens.cache_info().hits > 0
+
+    def test_returned_lists_are_fresh(self):
+        first = subtokenize("parseHTTPResponse")
+        first.append("mutated")
+        assert subtokenize("parseHTTPResponse") == ["parse", "http", "response"]
+        tokens = tokenize_code("parseHTTPResponse(x)")
+        tokens.clear()
+        assert tokenize_code("parseHTTPResponse(x)") == ["parse", "http", "response", "(",
+                                                          "x", ")"]
 
 
 class TestVocabulary:

@@ -7,9 +7,9 @@ every occurrence of the superclass class-name subtokens.
 
 from __future__ import annotations
 
-from .model import ExampleInputs, seq2seq_config
+from .model import ExampleInputs
 
-__all__ = ["copy_baseline", "class_name_substitution", "seq2seq_baseline_config"]
+__all__ = ["copy_baseline", "class_name_substitution"]
 
 
 def copy_baseline(inputs: ExampleInputs) -> list:
@@ -44,7 +44,3 @@ def class_name_substitution(inputs: ExampleInputs) -> list:
                                   inputs.sup_name_tokens,
                                   inputs.sub_name_tokens)
 
-
-def seq2seq_baseline_config(vocab_size: int, **overrides):
-    """Plain single-encoder configuration: no hierarchy context at all."""
-    return seq2seq_config(vocab_size, **overrides)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -27,6 +28,8 @@ from . import training as TR
 from .corpus import SchemaError
 from .features import FeatureArtifacts, dataset_hash
 from .text import Vocabulary, build_vocab, tokenize
+# perfbench builds its vocabularies through this name
+from .training import token_sequences as _vocab_sequences
 
 
 class CliError(ValueError):
@@ -49,16 +52,8 @@ ABLATION_FLAGS = {
     "-ul-spec-feats": dict(_NO_COND, use_features=False),
     "-classname": dict(_NO_COND, use_class_name_encoder=False),
     "-supcomment": dict(_NO_COND, use_sup_comment_encoder=False),
-    "seq2seq": {
-        "use_class_name_encoder": False, "use_sup_comment_encoder": False,
-        "use_features": False, "use_specificity": False,
-        "use_coherence": False, "use_unlikelihood": False,
-    },
-}
-ABLATION_FILE_NAMES = {
-    "full": "full", "-ul": "no-ul", "-ul-spec": "no-ul-spec",
-    "-ul-spec-feats": "no-ul-spec-feats", "-classname": "no-classname",
-    "-supcomment": "no-supcomment", "seq2seq": "seq2seq",
+    "seq2seq": dict(_NO_COND, use_features=False, use_class_name_encoder=False,
+                    use_sup_comment_encoder=False),
 }
 
 METRIC_NAMES = ("bleu4", "meteor", "rouge_l")
@@ -75,20 +70,32 @@ DEFAULT_RUN_CONFIG = {
     "eval": {"beam_size": 20, "max_len": None, "bootstrap_n": 10000, "seed": 0},
 }
 
-_MODEL_KEYS = set(M.ModelConfig.__dataclass_fields__) - {"vocab_size"}
-_TRAINING_KEYS = set(TR.TrainingConfig.__dataclass_fields__)
-_SECTION_KEYS = {
-    "corpus": {"mode", "ratios", "seed"},
-    "text": {"vocab_cap", "min_freq"},
-    "features": {"k_levels", "embed_dim", "window", "seed"},
-    "model": _MODEL_KEYS,
-    "training": _TRAINING_KEYS,
-    "eval": {"beam_size", "max_len", "bootstrap_n", "seed"},
-}
+# section -> accepted key -> its default, whose type a value must have.
+# The model's dropout is training.dropout, and its feature widths are
+# those of the feature extractors, so neither is a model key.
+_SECTION_KEYS = dict(
+    DEFAULT_RUN_CONFIG,
+    model={f.name: f.default for f in dataclasses.fields(M.ModelConfig)
+           if f.name not in ("vocab_size", "dropout", "feature_dims")},
+    training={f.name: f.default for f in dataclasses.fields(TR.TrainingConfig)},
+)
+
+
+def _type_ok(value, default) -> bool:
+    """Whether `value` has the type of `default`: an int passes for a float,
+    a bool never for a number, and null only where the default is null
+    (eval.max_len, which otherwise takes an int)."""
+    if value is None:
+        return default is None
+    kind = int if default is None else type(default)
+    if kind is float:
+        kind = (int, float)
+    return isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
 
 
 def load_run_config(path: str | None) -> dict:
-    """Defaults merged with the JSON at `path`; unknown keys rejected."""
+    """Defaults merged with the JSON at `path`; unknown keys and values
+    of another type than the default's rejected."""
     cfg = copy.deepcopy(DEFAULT_RUN_CONFIG)
     if path is None:
         return cfg
@@ -106,10 +113,17 @@ def load_run_config(path: str | None) -> dict:
     for section, values in raw.items():
         if not isinstance(values, dict):
             raise CliError("%s: section %r must be an object" % (path, section))
-        extra = set(values) - _SECTION_KEYS[section]
+        extra = set(values) - set(_SECTION_KEYS[section])
         if extra:
             raise CliError("%s: unknown keys in section %r: %s"
                            % (path, section, ", ".join(sorted(extra))))
+        for key, value in values.items():
+            default = _SECTION_KEYS[section][key]
+            if not _type_ok(value, default):
+                raise CliError("%s: %s.%s must be %s, got %s"
+                               % (path, section, key,
+                                  "int or null" if default is None else type(default).__name__,
+                                  json.dumps(value)))
         cfg[section].update(values)
     if cfg["corpus"]["mode"] not in ("first", "full"):
         raise CliError("corpus.mode must be 'first' or 'full'")
@@ -167,16 +181,6 @@ def _read_predictions(path: str) -> dict:
 
 def _artifacts_dir(data_dir: str) -> str:
     return os.environ.get(ARTIFACTS_ENV) or os.path.join(data_dir, "artifacts")
-
-
-def _vocab_sequences(inputs: list) -> list:
-    seqs = []
-    for ex in inputs:
-        seqs.append(ex.target_tokens)
-        seqs.append(ex.sup_comment_tokens)
-        seqs.append(ex.method_tokens)
-        seqs.append(ex.sub_name_tokens)
-    return seqs
 
 
 def _load_vocab(art_dir: str) -> Vocabulary:
@@ -248,9 +252,7 @@ def cmd_fit(args) -> int:
 
 def _model_config_for(cfg: dict, ablation: str, vocab_size: int) -> M.ModelConfig:
     kwargs = dict(cfg["model"])
-    # training.dropout is the user-facing knob; an explicit model.dropout
-    # still wins
-    if "dropout" not in kwargs and "dropout" in cfg["training"]:
+    if "dropout" in cfg["training"]:
         kwargs["dropout"] = cfg["training"]["dropout"]
     kwargs.update(ABLATION_FLAGS[ablation])
     return _check(M.ModelConfig, vocab_size=vocab_size, **kwargs)
@@ -281,7 +283,7 @@ def cmd_train(args) -> int:
                     training_config, artifacts=artifacts)
 
     os.makedirs(args.ckpt_dir, exist_ok=True)
-    name = ABLATION_FILE_NAMES[args.ablation]
+    name = "no" + args.ablation if args.ablation.startswith("-") else args.ablation
     ckpt_path = os.path.join(args.ckpt_dir, name + ".ckpt")
     TR.save_train_checkpoint(ckpt_path, result.params, model_config, vocab,
                              extra={"mode": mode, "ablation": args.ablation,

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import json
-import struct
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+
+from .tensor import read_container, write_container
 
 FEATURE_MAGIC = b"HCFEATS1"
 FEATURE_SCHEMA_VERSION = 1
@@ -152,35 +152,19 @@ def diff_labels(sub_tokens: list[str], sup_tokens: list[str]) -> list[EditLabel]
 
     LCS members are RETAIN.  A run of sub-only tokens between the same
     two LCS anchors as a run of sup-only tokens is REPLACE; a sub-only
-    run with no sup counterpart is ADD.  DELETE never appears here (it
-    marks sup-only runs, see diff_labels_with_deletions).
+    run with no sup counterpart is ADD.  DELETE never appears here: it
+    would mark sup-only tokens, which have no sub position.
     """
-    labels, _ = diff_labels_with_deletions(sub_tokens, sup_tokens)
-    return labels
-
-
-def diff_labels_with_deletions(sub_tokens, sup_tokens):
-    """(labels for sub tokens, diagnostic labels for sup tokens)."""
     pairs = lcs_pairs(sub_tokens, sup_tokens)
-    sub_labels = [EditLabel.ADD] * len(sub_tokens)
-    sup_labels = [EditLabel.DELETE] * len(sup_tokens)
-    anchors = pairs + [(len(sub_tokens), len(sup_tokens))]
+    labels = [EditLabel.ADD] * len(sub_tokens)
     prev_i, prev_j = 0, 0
-    for i, j in anchors:
-        gap_sub = range(prev_i, i)
-        gap_sup = range(prev_j, j)
-        if len(gap_sub) and len(gap_sup):
-            for k in gap_sub:
-                sub_labels[k] = EditLabel.REPLACE
+    for i, j in pairs + [(len(sub_tokens), len(sup_tokens))]:
+        if i > prev_i and j > prev_j:
+            labels[prev_i:i] = [EditLabel.REPLACE] * (i - prev_i)
         prev_i, prev_j = i + 1, j + 1
-    for i, j in pairs:
-        sub_labels[i] = EditLabel.RETAIN
-        sup_labels[j] = EditLabel.RETAIN
-    return sub_labels, sup_labels
-
-
-def overlap_flags(tokens: list[str], other: set | frozenset) -> list[bool]:
-    return [t in other for t in tokens]
+    for i, _ in pairs:
+        labels[i] = EditLabel.RETAIN
+    return labels
 
 
 def comment_token_features(tokens: list[str]) -> list[tuple[bool, bool, str]]:
@@ -306,10 +290,6 @@ def fit_specificity_bins(comments: list[list[str]], stats: CommentStats,
     return QuantileBins.fit([niwf_raw(c, stats) for c in comments], k=k)
 
 
-def niwf_normalized(tokens: list[str], stats: CommentStats, bins: QuantileBins) -> float:
-    return bins.normalize(niwf_raw(tokens, stats))
-
-
 # static embeddings and coherence ----------------------------------------
 
 class StaticEmbeddingTable:
@@ -412,7 +392,10 @@ def coherence(tokens_a: list[str], tokens_b: list[str],
     return float(ra @ rb / (na * nb))
 
 
-COHERENCE_SIDES = ("sup_comment", "sub_method", "sub_class_name")
+# side name (a key in features.bin) -> the stream the gold comment is
+# compared with
+COHERENCE_SIDES = {"sup_comment": "sup_comment", "sub_method": "method",
+                   "sub_class_name": "class_name"}
 
 
 def fit_coherence_bins(scores_by_side: dict, k: int = 5) -> dict:
@@ -439,7 +422,6 @@ class FeatureArtifacts:
 
     def save(self, path: str) -> None:
         header = {
-            "schema_version": FEATURE_SCHEMA_VERSION,
             "mode": self.mode,
             "dataset_hash": self.dataset_hash,
             "stats": {"n_comments": self.stats.n_comments, "doc_freq": self.stats.doc_freq},
@@ -452,28 +434,13 @@ class FeatureArtifacts:
             "emb_tokens": self.embeddings.tokens,
             "emb_shape": list(self.embeddings.matrix.shape),
         }
-        blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        with open(path, "wb") as fh:
-            fh.write(FEATURE_MAGIC)
-            fh.write(struct.pack("<Q", len(blob)))
-            fh.write(blob)
-            fh.write(np.ascontiguousarray(self.embeddings.matrix, dtype="<f8").tobytes())
+        write_container(path, FEATURE_MAGIC, FEATURE_SCHEMA_VERSION, header,
+                        [self.embeddings.matrix])
 
     @classmethod
     def load(cls, path: str) -> "FeatureArtifacts":
-        with open(path, "rb") as fh:
-            if fh.read(8) != FEATURE_MAGIC:
-                raise ValueError("not a feature artifact file: %s" % path)
-            (hlen,) = struct.unpack("<Q", fh.read(8))
-            header = json.loads(fh.read(hlen).decode("utf-8"))
-            if header.get("schema_version") != FEATURE_SCHEMA_VERSION:
-                raise ValueError("unsupported feature artifact schema_version")
-            shape = tuple(header["emb_shape"])
-            count = int(np.prod(shape)) if shape else 0
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise ValueError("truncated feature artifact payload")
-            matrix = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        header, (matrix,) = read_container(path, FEATURE_MAGIC, FEATURE_SCHEMA_VERSION,
+                                           "feature artifact", lambda h: [h["emb_shape"]])
         return cls(
             mode=header["mode"],
             dataset_hash=header["dataset_hash"],

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import QuantileBins, CommentStats, niwf_raw
+from .features import QuantileBins, CommentStats, lcs_pairs, niwf_raw
 
 
 # ---------------------------------------------------------------- BLEU-4
@@ -55,27 +55,12 @@ def bleu4(reference_tokens: list, hypothesis_tokens: list) -> float:
 
 # --------------------------------------------------------------- ROUGE-L
 
-def _lcs_length(a: list, b: list) -> int:
-    n, m = len(a), len(b)
-    prev = [0] * (m + 1)
-    for i in range(1, n + 1):
-        cur = [0] * (m + 1)
-        ai = a[i - 1]
-        for j in range(1, m + 1):
-            if ai == b[j - 1]:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = prev[j] if prev[j] >= cur[j - 1] else cur[j - 1]
-        prev = cur
-    return prev[m]
-
-
 def rouge_l(reference_tokens: list, hypothesis_tokens: list,
             beta: float = 1.2) -> float:
     """LCS F-measure: P = LCS/|hyp|, R = LCS/|ref|, recall-weighted."""
     if not reference_tokens or not hypothesis_tokens:
         return 0.0
-    lcs = _lcs_length(reference_tokens, hypothesis_tokens)
+    lcs = len(lcs_pairs(reference_tokens, hypothesis_tokens))
     if lcs == 0:
         return 0.0
     p = lcs / len(hypothesis_tokens)

@@ -32,7 +32,9 @@ from .text import (
     tokenize_code,
 )
 
-STREAM_ORDER = ("method", "class_name", "sup_comment")
+# the ExampleInputs field each stream of feats.STREAMS encodes
+STREAM_FIELDS = {"method": "method_tokens", "class_name": "sub_name_tokens",
+                 "sup_comment": "sup_comment_tokens"}
 
 
 @dataclass
@@ -79,7 +81,7 @@ class ModelConfig:
     @property
     def init_width(self) -> int:
         # one slot per stream regardless of flags; ablated streams feed zeros
-        return len(STREAM_ORDER) * self.enc_layers * 2 * self.enc_hidden
+        return len(feats.STREAMS) * self.enc_layers * 2 * self.enc_hidden
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -95,21 +97,6 @@ class ModelConfig:
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def seq2seq_config(vocab_size: int, **overrides) -> ModelConfig:
-    """Plain attention seq2seq baseline: method encoder only, no extras."""
-    cfg = dict(
-        vocab_size=vocab_size,
-        use_class_name_encoder=False,
-        use_sup_comment_encoder=False,
-        use_features=False,
-        use_specificity=False,
-        use_coherence=False,
-        use_unlikelihood=False,
-    )
-    cfg.update(overrides)
-    return ModelConfig(**cfg)
 
 
 # parameter construction ---------------------------------------------------
@@ -214,6 +201,9 @@ class ExampleInputs:
             target_tokens=tokenize(sub_comment),
         )
 
+    def stream_tokens(self, stream: str) -> list:
+        return getattr(self, STREAM_FIELDS[stream])
+
 
 def _stream_feature_matrix(inputs: ExampleInputs, stream: str) -> np.ndarray:
     if stream == "method":
@@ -229,16 +219,6 @@ def _stream_feature_matrix(inputs: ExampleInputs, stream: str) -> np.ndarray:
         return feats.sup_comment_stream_features(
             inputs.sup_comment_tokens, inputs.sub_name_tokens,
             inputs.method_tokens)
-    raise ValueError("unknown stream %r" % stream)
-
-
-def _stream_tokens(inputs: ExampleInputs, stream: str) -> list:
-    if stream == "method":
-        return inputs.method_tokens
-    if stream == "class_name":
-        return inputs.sub_name_tokens
-    if stream == "sup_comment":
-        return inputs.sup_comment_tokens
     raise ValueError("unknown stream %r" % stream)
 
 
@@ -304,7 +284,7 @@ def encode_source(inputs: ExampleInputs, vocab: Vocabulary, params: dict,
                   config: ModelConfig, rng=None, train: bool = False) -> EncodedSource:
     enc = {}
     for stream in config.active_streams():
-        tokens = _stream_tokens(inputs, stream)
+        tokens = inputs.stream_tokens(stream)
         feat_matrix = _stream_feature_matrix(inputs, stream) if config.use_features else None
         ids = [vocab.id_of(t) for t in tokens]
         enc[stream] = encode_stream(ids, feat_matrix, stream, params, config,
@@ -356,7 +336,7 @@ def init_decoder(src: EncodedSource, params: dict, config: ModelConfig) -> Decod
     stream contributes exact zeros in its slot.
     """
     parts = []
-    for stream in STREAM_ORDER:
+    for stream in feats.STREAMS:
         if stream in src.enc:
             parts.extend(src.enc[stream].finals)
         else:
@@ -440,28 +420,35 @@ UNREACHABLE_NLL = -float(np.log(1e-10))
 PROB_FLOOR = 1e-10
 
 
+def _teacher_forced(src: EncodedSource, tokens: list, spec_level, coh_level,
+                    vocab: Vocabulary, params: dict, config: ModelConfig, rng, train):
+    """(distribution, target) per decoder step over `tokens`, each step fed
+    the previous gold token (UNK outside the vocabulary).  A None token
+    stands for EOS; a target is an extended id, or None when unreachable."""
+    state = init_decoder(src, params, config)
+    prev = BOS_ID
+    for tok in tokens:
+        final_dist, _, state, _ = decode_step(
+            state, prev, spec_level, coh_level, src, params, config, rng, train)
+        yield final_dist, EOS_ID if tok is None else target_extended_id(tok, vocab, src)
+        prev = vocab.id_of(tok)
+
+
 def forward_nll(src: EncodedSource, target_tokens: list, spec_level, coh_level,
                 vocab: Vocabulary, params: dict, config: ModelConfig,
                 rng=None, train: bool = False):
     """Teacher-forced negative log likelihood of the gold comment plus EOS."""
-    state = init_decoder(src, params, config)
-    prev = BOS_ID
     total = None
     unreachable = 0
-    for tok in list(target_tokens) + [None]:
-        target = EOS_ID if tok is None else target_extended_id(tok, vocab, src)
-        final_dist, _, state, _ = decode_step(
-            state, prev, spec_level, coh_level, src, params, config, rng, train)
+    for final_dist, target in _teacher_forced(
+            src, list(target_tokens) + [None], spec_level, coh_level, vocab,
+            params, config, rng, train):
         if target is None:
             unreachable += 1
-        else:
-            p = T.clamp_min(T.gather_scalar(final_dist, int(target)), PROB_FLOOR)
-            term = T.sub(T.const(np.asarray(0.0)), T.log(p))
-            total = term if total is None else T.add(total, term)
-        if tok is None:
-            break
-        in_vocab = vocab.id_of(tok)
-        prev = in_vocab if in_vocab != UNK_ID or tok in RESERVED else UNK_ID
+            continue
+        p = T.clamp_min(T.gather_scalar(final_dist, int(target)), PROB_FLOOR)
+        term = T.sub(T.const(np.asarray(0.0)), T.log(p))
+        total = term if total is None else T.add(total, term)
     if unreachable:
         penalty = T.const(np.asarray(unreachable * UNREACHABLE_NLL))
         total = penalty if total is None else T.add(total, penalty)
@@ -477,19 +464,14 @@ def forward_unlikelihood(src: EncodedSource, negative_tokens: list, spec_level,
     become less likely.  A negative token the model cannot produce at
     all contributes exactly zero.
     """
-    state = init_decoder(src, params, config)
-    prev = BOS_ID
     total = T.const(np.asarray(0.0))
-    for tok in negative_tokens:
-        target = target_extended_id(tok, vocab, src)
-        final_dist, _, state, _ = decode_step(
-            state, prev, spec_level, coh_level, src, params, config, rng, train)
+    for final_dist, target in _teacher_forced(
+            src, negative_tokens, spec_level, coh_level, vocab, params, config,
+            rng, train):
         if target is not None:
             p = T.gather_scalar(final_dist, int(target))
             comp = T.clamp_min(T.sub(T.const(np.asarray(1.0)), p), PROB_FLOOR)
             total = T.add(total, T.sub(T.const(np.asarray(0.0)), T.log(comp)))
-        in_vocab = vocab.id_of(tok)
-        prev = in_vocab if in_vocab != UNK_ID or tok in RESERVED else UNK_ID
     return total
 
 

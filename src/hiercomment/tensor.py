@@ -15,6 +15,8 @@ dozen, which keeps desk-scale training fast without leaving numpy.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from contextlib import contextmanager
 
@@ -403,12 +405,6 @@ def tsum(x: Tensor, axis=None) -> Tensor:
     return _make(data, (x,), vjp)
 
 
-def tmean(x: Tensor, axis=None) -> Tensor:
-    x = _as_tensor(x)
-    n = x.data.size if axis is None else x.data.shape[axis]
-    return mul(tsum(x, axis=axis), 1.0 / n)
-
-
 def gru_step(gi: Tensor, h_prev: Tensor, wh: Tensor, bh: Tensor) -> Tensor:
     """One GRU timestep from a precomputed input projection.
 
@@ -538,46 +534,82 @@ class AdamState:
             p.grad = None
 
 
-def save_checkpoint(path: str, arrays: dict, meta: dict) -> None:
-    """Write named f64 arrays: magic, JSON header, then raw payloads."""
-    names = list(arrays)
-    header = {
-        "schema_version": CHECKPOINT_SCHEMA_VERSION,
-        "dtype": "<f8",
-        "tensors": [{"name": n, "shape": list(np.asarray(arrays[n]).shape)}
-                    for n in names],
-        "meta": meta,
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+def write_container(path: str, magic: bytes, schema_version: int, header: dict,
+                    arrays) -> None:
+    """The one binary file layout: 8-byte magic, `<Q` header length, the
+    header as sorted JSON (schema_version added), then each array's raw
+    `<f8` values in order."""
+    blob = json.dumps(dict(header, schema_version=schema_version),
+                      sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
+        fh.write(magic)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for n in names:
-            arr = np.ascontiguousarray(np.asarray(arrays[n], dtype="<f8"))
-            fh.write(arr.tobytes())
+        for arr in arrays:
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+
+def read_container(path: str, magic: bytes, schema_version: int, what: str,
+                   shapes_of) -> tuple[dict, list]:
+    """(header, arrays) of a file from write_container.
+
+    `shapes_of(header)` gives the shapes of the stored arrays in order.
+    A wrong magic or schema version, a short preamble, a cut or non-JSON
+    header, a cut payload and trailing bytes each raise ValueError
+    naming `what`.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        got = fh.read(8)
+        if got != magic:
+            raise ValueError("not a %s file (bad magic %r)" % (what, got))
+        if size < 16:
+            raise ValueError("truncated %s header" % what)
+        (hlen,) = struct.unpack("<Q", fh.read(8))
+        if hlen > size - 16:
+            raise ValueError("truncated %s header" % what)
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except ValueError:
+            header = None
+        if not isinstance(header, dict):
+            raise ValueError("%s header is not a JSON object" % what)
+        if header.get("schema_version") != schema_version:
+            raise ValueError("unsupported %s schema_version %r"
+                             % (what, header.get("schema_version")))
+        try:
+            shapes = [tuple(int(d) for d in shape) for shape in shapes_of(header)]
+        except (KeyError, TypeError, ValueError):
+            shapes = None
+        if shapes is None or any(d < 0 for shape in shapes for d in shape):
+            raise ValueError("malformed %s header" % what)
+        counts = [math.prod(shape) for shape in shapes]
+        payload = size - 16 - hlen
+        if 8 * sum(counts) > payload:
+            raise ValueError("truncated %s payload" % what)
+        if 8 * sum(counts) < payload:
+            raise ValueError("trailing bytes after the %s payload" % what)
+        arrays = [np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(shape).copy()
+                  for shape, n in zip(shapes, counts)]
+    return header, arrays
+
+
+def save_checkpoint(path: str, arrays: dict, meta: dict) -> None:
+    """Write named f64 arrays and a JSON-able meta dict."""
+    header = {"dtype": "<f8", "meta": meta,
+              "tensors": [{"name": n, "shape": list(np.shape(a))}
+                          for n, a in arrays.items()]}
+    write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA_VERSION, header,
+                    arrays.values())
 
 
 def load_checkpoint(path: str):
     """Read a checkpoint; returns (arrays dict, meta dict)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError("not a checkpoint file (bad magic %r)" % magic)
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        if header.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
-            raise ValueError("unsupported checkpoint schema_version %r"
-                             % header.get("schema_version"))
-        arrays = {}
-        for spec in header["tensors"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise ValueError("truncated checkpoint payload for %r" % spec["name"])
-            arrays[spec["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    return arrays, header["meta"]
+    header, arrays = read_container(
+        path, CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA_VERSION, "checkpoint",
+        lambda h: [spec["shape"] for spec in h["tensors"]])
+    names = [spec["name"] for spec in header["tensors"]]
+    return dict(zip(names, arrays)), header["meta"]
 
 
 def grad_check(build_loss, params: dict, eps: float = 1e-5,

@@ -120,15 +120,6 @@ class Vocabulary:
             raise ValueError("token id %d out of range [0, %d)" % (token_id, len(self)))
         return self._id_to_token[token_id]
 
-    def encode(self, tokens: list[str], add_bos_eos: bool = False) -> list[int]:
-        ids = [self.id_of(t) for t in tokens]
-        if add_bos_eos:
-            return [BOS_ID] + ids + [EOS_ID]
-        return ids
-
-    def decode(self, ids: list[int]) -> list[str]:
-        return [self.token_of(i) for i in ids]
-
     def to_json(self) -> str:
         payload = {
             "schema_version": 1,

@@ -111,6 +111,21 @@ def combine_losses(mle_terms: list, ul_terms: list, alpha: float,
 
 # artifact fitting and level assignment --------------------------------------
 
+def token_sequences(inputs: list) -> list:
+    """The sequences the vocabulary and the static embeddings are fit on:
+    per example its gold comment, superclass comment, method and class
+    name tokens, in that order."""
+    return [seq for ex in inputs
+            for seq in (ex.target_tokens, ex.sup_comment_tokens,
+                        ex.method_tokens, ex.sub_name_tokens)]
+
+
+def coherence_scores(ex: ExampleInputs, emb, stats: CommentStats) -> dict:
+    """Coherence of the gold comment with each side's stream."""
+    return {side: coherence(ex.target_tokens, ex.stream_tokens(stream), emb, stats)
+            for side, stream in COHERENCE_SIDES.items()}
+
+
 def fit_artifacts(train_inputs: list, mode: str, dataset_digest: str,
                   k_levels: int = 5, embed_dim: int = 64, window: int = 5,
                   seed: int = 0) -> FeatureArtifacts:
@@ -123,18 +138,10 @@ def fit_artifacts(train_inputs: list, mode: str, dataset_digest: str,
     targets = [ex.target_tokens for ex in train_inputs]
     stats = CommentStats.fit(targets)
     spec_bins = fit_specificity_bins(targets, stats, k=k_levels)
-    seqs = []
-    for ex in train_inputs:
-        seqs.append(ex.target_tokens)
-        seqs.append(ex.sup_comment_tokens)
-        seqs.append(ex.method_tokens)
-        seqs.append(ex.sub_name_tokens)
-    emb = train_static_embeddings(seqs, dim=embed_dim, window=window, seed=seed)
-    scores = {side: [] for side in COHERENCE_SIDES}
-    for ex in train_inputs:
-        scores["sup_comment"].append(coherence(ex.target_tokens, ex.sup_comment_tokens, emb, stats))
-        scores["sub_method"].append(coherence(ex.target_tokens, ex.method_tokens, emb, stats))
-        scores["sub_class_name"].append(coherence(ex.target_tokens, ex.sub_name_tokens, emb, stats))
+    emb = train_static_embeddings(token_sequences(train_inputs), dim=embed_dim,
+                                  window=window, seed=seed)
+    per_example = [coherence_scores(ex, emb, stats) for ex in train_inputs]
+    scores = {side: [s[side] for s in per_example] for side in COHERENCE_SIDES}
     coh_bins = fit_coherence_bins(scores, k=k_levels)
     return FeatureArtifacts(mode=mode, dataset_hash=dataset_digest, stats=stats,
                             spec_bins=spec_bins, coh_bins=coh_bins, embeddings=emb)
@@ -143,14 +150,7 @@ def fit_artifacts(train_inputs: list, mode: str, dataset_digest: str,
 def example_levels(ex: ExampleInputs, artifacts: FeatureArtifacts) -> tuple:
     """(spec_level, coh_level) of one example's gold comment."""
     spec = artifacts.spec_bins.level(niwf_raw(ex.target_tokens, artifacts.stats))
-    sides = {
-        "sup_comment": coherence(ex.target_tokens, ex.sup_comment_tokens,
-                                 artifacts.embeddings, artifacts.stats),
-        "sub_method": coherence(ex.target_tokens, ex.method_tokens,
-                                artifacts.embeddings, artifacts.stats),
-        "sub_class_name": coherence(ex.target_tokens, ex.sub_name_tokens,
-                                    artifacts.embeddings, artifacts.stats),
-    }
+    sides = coherence_scores(ex, artifacts.embeddings, artifacts.stats)
     levels = {s: artifacts.coh_bins[s].level(v) for s, v in sides.items()}
     return spec, combine_coherence_levels(levels)
 

@@ -3,10 +3,9 @@ import pytest
 from hiercomment.baselines import (
     class_name_substitution,
     copy_baseline,
-    seq2seq_baseline_config,
     substitute_subsequence,
 )
-from hiercomment.model import ExampleInputs, ModelConfig
+from hiercomment.model import ExampleInputs
 
 
 def make_inputs(sup_comment, sup_name, sub_name):
@@ -80,21 +79,3 @@ class TestClassNameSubstitution:
                                      ["big", "box"], ["crate"])
         assert out == ["the", "crate", "lid"]
 
-
-class TestSeq2SeqBaselineConfig:
-    def test_all_extras_off(self):
-        cfg = seq2seq_baseline_config(vocab_size=100)
-        assert isinstance(cfg, ModelConfig)
-        assert cfg.active_streams() == ("method",)
-        assert not cfg.use_features
-        assert not cfg.use_specificity
-        assert not cfg.use_coherence
-        assert not cfg.use_unlikelihood
-
-    def test_hash_differs_from_full_model(self):
-        base = ModelConfig(vocab_size=100)
-        assert seq2seq_baseline_config(100).config_hash() != base.config_hash()
-
-    def test_overrides_apply(self):
-        cfg = seq2seq_baseline_config(100, enc_hidden=8)
-        assert cfg.enc_hidden == 8

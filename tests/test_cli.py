@@ -10,11 +10,12 @@ from hiercomment import corpus as C
 from hiercomment import metrics as MT
 from hiercomment import model as M
 from hiercomment import tensor as T
+from hiercomment import training as TR
 from hiercomment.cli import (
     ABLATION_FLAGS,
     DEFAULT_RUN_CONFIG,
     METRIC_NAMES,
-    _model_config_for,
+    CliError,
     load_run_config,
     main,
 )
@@ -115,6 +116,53 @@ class TestRunConfig:
         assert main(["fit", "x.jsonl", str(tmp_path / "a"),
                      "--config", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize("key", ["dropout", "feature_dims"])
+    def test_model_keys_set_elsewhere_are_unknown(self, tmp_path, key):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"model": {key: 0.5}}), encoding="utf-8")
+        with pytest.raises(CliError, match="unknown keys"):
+            load_run_config(str(p))
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("training", "learning_rate", 1),     # an int where the default is a float
+        ("training", "dropout", 0.5),
+        ("eval", "max_len", None),
+        ("eval", "max_len", 40),
+        ("model", "use_features", False),
+        ("corpus", "mode", "full"),
+    ])
+    def test_value_of_the_default_type_accepted(self, tmp_path, section, key, value):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({section: {key: value}}), encoding="utf-8")
+        assert load_run_config(str(p))[section][key] == value
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("features", "window", "5"),
+        ("training", "batch_size", 4.0),
+        ("training", "max_epochs", True),     # a bool is not an int
+        ("training", "learning_rate", False),
+        ("model", "use_features", 1),
+        ("eval", "max_len", "30"),
+        ("eval", "beam_size", None),
+        ("corpus", "ratios", "0.8,0.1,0.1"),
+    ])
+    def test_value_of_another_type_rejected(self, tmp_path, section, key, value):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({section: {key: value}}), encoding="utf-8")
+        with pytest.raises(CliError, match=re.escape("%s.%s must be" % (section, key))):
+            load_run_config(str(p))
+
+    def test_string_window_exits_2_in_fit(self, pipeline, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", {"features": {"window": "5"}})
+        assert main(["fit", str(pipeline["train"]), str(tmp_path / "art"),
+                     "--config", cfg]) == 2
+        assert "features.window" in capsys.readouterr().err
+
+    def test_string_batch_size_exits_2_in_train(self, pipeline, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", {"training": {"batch_size": "4"}})
+        assert main(["train", cfg, str(pipeline["data"]), str(tmp_path / "ck")]) == 2
+        assert "training.batch_size" in capsys.readouterr().err
+
 
 class TestMine:
     def test_toy_corpus_yields_64_examples(self, pipeline):
@@ -197,16 +245,38 @@ class TestTrain:
                                          "train_loss", "train_ppl",
                                          "valid_mle", "valid_ppl"}
 
-    def test_ablation_flag_table(self):
-        cfg = load_run_config(None)
-        base = {"use_class_name_encoder": True, "use_sup_comment_encoder": True,
-                "use_features": True, "use_specificity": True,
-                "use_coherence": True, "use_unlikelihood": True}
-        for ablation, overrides in ABLATION_FLAGS.items():
-            mc = _model_config_for(cfg, ablation, vocab_size=50)
-            expected = dict(base, **overrides)
-            got = {k: getattr(mc, k) for k in base}
-            assert got == expected, ablation
+    def test_ablation_flag_table(self, pipeline, tmp_path, monkeypatch):
+        # ablation -> (checkpoint file name, flags it turns off)
+        cond = {"use_unlikelihood", "use_specificity", "use_coherence"}
+        expected = {
+            "full": ("full", set()),
+            "-ul": ("no-ul", {"use_unlikelihood"}),
+            "-ul-spec": ("no-ul-spec", cond),
+            "-ul-spec-feats": ("no-ul-spec-feats", cond | {"use_features"}),
+            "-classname": ("no-classname", cond | {"use_class_name_encoder"}),
+            "-supcomment": ("no-supcomment", cond | {"use_sup_comment_encoder"}),
+            "seq2seq": ("seq2seq", cond | {"use_features", "use_class_name_encoder",
+                                           "use_sup_comment_encoder"}),
+        }
+        flags = ("use_class_name_encoder", "use_sup_comment_encoder", "use_features",
+                 "use_specificity", "use_coherence", "use_unlikelihood")
+        assert sorted(ABLATION_FLAGS) == sorted(expected)
+        # the flags and file names are under test, not the training loop
+        monkeypatch.setattr(TR, "train", lambda *a, **k: TR.TrainResult(
+            params={}, best_epoch=1, best_valid=1.0))
+        ckpts = tmp_path / "ck"
+        configs = {}
+        for ablation, (name, off) in expected.items():
+            assert main(["train", pipeline["config"], str(pipeline["data"]), str(ckpts),
+                         "--ablation=" + ablation]) == 0
+            _, mc, _, meta = load_train_checkpoint(str(ckpts / (name + ".ckpt")))
+            assert meta["ablation"] == ablation
+            assert {f: getattr(mc, f) for f in flags} == {f: f not in off for f in flags}
+            configs[ablation] = mc
+        assert sorted(os.listdir(ckpts)) == sorted(
+            name + ext for name, _ in expected.values() for ext in (".ckpt", ".log.json"))
+        assert configs["seq2seq"].active_streams() == ("method",)
+        assert configs["seq2seq"].config_hash() != configs["full"].config_hash()
 
     def test_checkpoint_meta_records_variant(self, pipeline):
         _, mc, vocab, meta = load_train_checkpoint(
@@ -230,6 +300,18 @@ class TestTrain:
         assert main(["train", pipeline["config"], str(data),
                      str(tmp_path / "ck")]) == 2
         assert "hiercomment fit" in capsys.readouterr().err
+
+    def test_cut_features_file_exits_2(self, pipeline, tmp_path, monkeypatch, capsys):
+        art = tmp_path / "art"
+        art.mkdir()
+        (art / "vocab.json").write_bytes(
+            (pipeline["data"] / "artifacts" / "vocab.json").read_bytes())
+        (art / "features.bin").write_bytes(
+            (pipeline["data"] / "artifacts" / "features.bin").read_bytes()[:8])
+        monkeypatch.setenv("HIERCOMMENT_ARTIFACTS_DIR", str(art))
+        assert main(["train", pipeline["config"], str(pipeline["data"]),
+                     str(tmp_path / "ck")]) == 2
+        assert "truncated feature artifact header" in capsys.readouterr().err
 
     def test_empty_train_split_exits_2(self, pipeline, tmp_path):
         data = tmp_path / "data"
@@ -370,6 +452,18 @@ class TestGenerate:
         bad.write_bytes(b"not a checkpoint at all")
         assert main(["generate", str(bad), str(pipeline["test"]),
                      str(tmp_path / "p.jsonl")]) == 2
+
+    @pytest.mark.parametrize("damage,message", [
+        (lambda blob: blob[:12], "truncated checkpoint header"),
+        (lambda blob: blob + bytes(8), "trailing bytes"),
+    ], ids=["cut-to-12-bytes", "8-bytes-appended"])
+    def test_cut_or_padded_checkpoint_exits_2(self, pipeline, tmp_path, capsys,
+                                              damage, message):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(damage((pipeline["ckpts"] / "seq2seq.ckpt").read_bytes()))
+        assert main(["generate", str(bad), str(pipeline["test"]),
+                     str(tmp_path / "p.jsonl")]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestBaseline:

@@ -5,6 +5,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hiercomment import features as F
 from hiercomment.features import (
@@ -17,12 +20,10 @@ from hiercomment.features import (
     combine_coherence_levels,
     comment_token_features,
     diff_labels,
-    diff_labels_with_deletions,
     fit_coherence_bins,
     fit_specificity_bins,
     java_token_class,
     lcs_pairs,
-    niwf_normalized,
     niwf_raw,
     pos_tag,
     sentence_repr,
@@ -79,12 +80,12 @@ class TestDiffLabels:
         assert labels == [EditLabel.RETAIN, EditLabel.RETAIN,
                           EditLabel.ADD, EditLabel.RETAIN]
 
-    def test_deletions_only_in_diagnostic_side(self):
+    def test_deletion_never_labels_a_sub_token(self):
         sub = "returns value".split()
         sup = "returns the value".split()
-        labels, sup_labels = diff_labels_with_deletions(sub, sup)
+        labels = diff_labels(sub, sup)
         assert EditLabel.DELETE not in labels
-        assert sup_labels == [EditLabel.RETAIN, EditLabel.DELETE, EditLabel.RETAIN]
+        assert labels == [EditLabel.RETAIN, EditLabel.RETAIN]
 
     def test_all_add_when_nothing_shared(self):
         assert diff_labels(["x", "y"], ["a", "b"]) == [EditLabel.REPLACE, EditLabel.REPLACE]
@@ -93,9 +94,8 @@ class TestDiffLabels:
     def test_trailing_gap_handled(self):
         sub = "a b extra".split()
         sup = "a b gone".split()
-        labels, sup_labels = diff_labels_with_deletions(sub, sup)
+        labels = diff_labels(sub, sup)
         assert labels == [EditLabel.RETAIN, EditLabel.RETAIN, EditLabel.REPLACE]
-        assert sup_labels == [EditLabel.RETAIN, EditLabel.RETAIN, EditLabel.DELETE]
 
 
 class TestTokenClasses:
@@ -248,7 +248,7 @@ class TestQuantileBins:
         lvls = {bins.level(niwf_raw(c, stats)) for c in comments}
         assert lvls <= {1, 2, 3, 4, 5}
         assert len(lvls) >= 3
-        norm = niwf_normalized(comments[0], stats, bins)
+        norm = bins.normalize(niwf_raw(comments[0], stats))
         assert 0.0 <= norm <= 1.0
 
 
@@ -456,6 +456,11 @@ class TestCoherence:
             assert 1 <= bins[side].level(0.5) <= 5
 
 
+# each example rewrites the one file it reads, so the shared tmp_path is safe
+FILE_PROPERTY = settings(max_examples=50, deadline=None,
+                         suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
 class TestArtifacts:
     def build(self):
         comments = [["tok%d" % j for j in range(i + 1)] for i in range(10)]
@@ -497,6 +502,37 @@ class TestArtifacts:
             fh.write(data[:-8])
         with pytest.raises(ValueError, match="truncated"):
             FeatureArtifacts.load(path)
+
+    @FILE_PROPERTY
+    @given(matrix=arrays(np.float64, st.tuples(st.integers(0, 4), st.integers(1, 3))))
+    def test_roundtrip_any_embedding_matrix(self, tmp_path, matrix):
+        art = self.build()
+        art.embeddings = StaticEmbeddingTable(["t%d" % i for i in range(len(matrix))], matrix)
+        path = str(tmp_path / "features.bin")
+        art.save(path)
+        back = FeatureArtifacts.load(path)
+        assert back.embeddings.tokens == art.embeddings.tokens
+        assert back.embeddings.matrix.shape == matrix.shape
+        assert np.array_equal(back.embeddings.matrix, matrix, equal_nan=True)
+
+    @FILE_PROPERTY
+    @given(data=st.data())
+    def test_any_cut_rejected(self, tmp_path, data):
+        path = tmp_path / "features.bin"
+        self.build().save(str(path))
+        blob = path.read_bytes()
+        path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+        with pytest.raises(ValueError):
+            FeatureArtifacts.load(str(path))
+
+    @FILE_PROPERTY
+    @given(extra=st.binary(min_size=1, max_size=64))
+    def test_any_appended_bytes_rejected(self, tmp_path, extra):
+        path = tmp_path / "features.bin"
+        self.build().save(str(path))
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(ValueError, match="trailing"):
+            FeatureArtifacts.load(str(path))
 
     def test_save_is_deterministic(self, tmp_path):
         art = self.build()

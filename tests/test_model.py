@@ -21,7 +21,6 @@ from hiercomment.model import (
     generate,
     init_decoder,
     init_params,
-    seq2seq_config,
     target_extended_id,
 )
 from hiercomment.text import BOS_ID, EOS_ID, PAD_ID, UNK_ID, Vocabulary
@@ -86,12 +85,6 @@ class TestModelConfig:
         d["bogus"] = 1
         with pytest.raises(ValueError, match="unknown"):
             ModelConfig.from_dict(d)
-
-    def test_seq2seq_config_turns_everything_off(self):
-        cfg = seq2seq_config(vocab_size=10)
-        assert cfg.active_streams() == ("method",)
-        assert not cfg.use_features and not cfg.use_specificity
-        assert not cfg.use_coherence and not cfg.use_unlikelihood
 
     def test_derived_dims(self):
         cfg = ModelConfig(vocab_size=100)

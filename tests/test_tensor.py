@@ -1,8 +1,15 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from hiercomment import tensor as T
+
+# each example rewrites the one file it reads, so the shared tmp_path is safe
+FILE_PROPERTY = settings(max_examples=50, deadline=None,
+                         suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 def _p(rng, *shape):
@@ -122,7 +129,7 @@ class TestStructuralOps:
     def test_sum_mean_axis(self):
         rng = np.random.default_rng(8)
         x = _p(rng, 3, 4)
-        err = T.grad_check(lambda: T.tsum(T.mul(T.tmean(x, axis=0), T.tsum(x, axis=0))), {"x": x})
+        err = T.grad_check(lambda: T.tsum(T.mul(T.tsum(T.mul(x, x), axis=0), T.tsum(x, axis=0))), {"x": x})
         assert err < 1e-4
 
 
@@ -390,3 +397,51 @@ class TestCheckpoint:
         T.save_checkpoint(p1, arrays, {"seed": 1})
         T.save_checkpoint(p2, arrays, {"seed": 1})
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+class TestCheckpointProperties:
+    def small_checkpoint(self, path):
+        T.save_checkpoint(str(path), {"w": np.arange(6.0).reshape(2, 3),
+                                      "s": np.asarray(2.5), "e": np.zeros((0, 4))},
+                          {"epoch": 3})
+        return path.read_bytes()
+
+    @FILE_PROPERTY
+    @given(named=st.dictionaries(
+               st.text(min_size=1, max_size=6),
+               arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)),
+               max_size=4),
+           meta=st.dictionaries(st.text(max_size=6), st.integers() | st.text(max_size=6)))
+    def test_roundtrip(self, tmp_path, named, meta):
+        path = str(tmp_path / "m.ckpt")
+        T.save_checkpoint(path, named, meta)
+        got, got_meta = T.load_checkpoint(path)
+        assert got_meta == meta
+        assert list(got) == list(named)
+        for k in named:
+            assert got[k].shape == named[k].shape
+            npt.assert_array_equal(got[k], named[k])
+
+    @FILE_PROPERTY
+    @given(data=st.data())
+    def test_any_cut_rejected(self, tmp_path, data):
+        path = tmp_path / "m.ckpt"
+        blob = self.small_checkpoint(path)
+        path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+        with pytest.raises(ValueError):
+            T.load_checkpoint(str(path))
+
+    @FILE_PROPERTY
+    @given(extra=st.binary(min_size=1, max_size=64))
+    def test_any_appended_bytes_rejected(self, tmp_path, extra):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(self.small_checkpoint(path) + extra)
+        with pytest.raises(ValueError, match="trailing"):
+            T.load_checkpoint(str(path))
+
+    def test_non_json_header_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        blob = self.small_checkpoint(path)
+        path.write_bytes(blob[:16] + b"\xff" * (len(blob) - 16))
+        with pytest.raises(ValueError, match="not a JSON object"):
+            T.load_checkpoint(str(path))

@@ -135,21 +135,12 @@ class TestVocabulary:
 
     def test_frequency_then_lexicographic_order(self):
         v = build_vocab([["b", "b", "c", "c", "a"]], cap=10, min_freq=1)
-        assert v.decode([4, 5, 6]) == ["b", "c", "a"]
-
-    def test_roundtrip_encode_decode(self):
-        v = build_vocab([["x", "y", "z"] * 2], cap=10, min_freq=1)
-        toks = ["x", "z", "y", "x"]
-        assert v.decode(v.encode(toks)) == toks
-
-    def test_encode_bos_eos(self):
-        v = build_vocab([["x", "x"]], cap=10, min_freq=1)
-        assert v.encode(["x"], add_bos_eos=True) == [BOS_ID, v.id_of("x"), EOS_ID]
+        assert [v.token_of(i) for i in (4, 5, 6)] == ["b", "c", "a"]
 
     def test_decode_out_of_range(self):
         v = build_vocab([["x", "x"]], cap=10, min_freq=1)
         with pytest.raises(ValueError):
-            v.decode([99])
+            v.token_of(99)
 
     def test_json_roundtrip(self):
         v = build_vocab([["x", "y"] * 3, ["y"]], cap=10, min_freq=1)

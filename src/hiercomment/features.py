@@ -439,16 +439,18 @@ class FeatureArtifacts:
 
     @classmethod
     def load(cls, path: str) -> "FeatureArtifacts":
-        header, (matrix,) = read_container(path, FEATURE_MAGIC, FEATURE_SCHEMA_VERSION,
-                                           "feature artifact", lambda h: [h["emb_shape"]])
-        return cls(
-            mode=header["mode"],
-            dataset_hash=header["dataset_hash"],
-            stats=CommentStats(header["stats"]["n_comments"], dict(header["stats"]["doc_freq"])),
-            spec_bins=QuantileBins(**header["spec_bins"]),
-            coh_bins={side: QuantileBins(**b) for side, b in header["coh_bins"].items()},
-            embeddings=StaticEmbeddingTable(header["emb_tokens"], matrix),
-        )
+        def parse(header, arrays):
+            return cls(
+                mode=header["mode"],
+                dataset_hash=header["dataset_hash"],
+                stats=CommentStats(header["stats"]["n_comments"],
+                                   dict(header["stats"]["doc_freq"])),
+                spec_bins=QuantileBins(**header["spec_bins"]),
+                coh_bins={side: QuantileBins(**b) for side, b in header["coh_bins"].items()},
+                embeddings=StaticEmbeddingTable(header["emb_tokens"], arrays[0]),
+            )
+        return read_container(path, FEATURE_MAGIC, FEATURE_SCHEMA_VERSION,
+                              "feature artifact", lambda h: [h["emb_shape"]], parse)
 
 
 def dataset_hash(path: str) -> str:

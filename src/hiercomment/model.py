@@ -321,12 +321,10 @@ def target_extended_id(token: str, vocab: Vocabulary, src: EncodedSource):
 @dataclass
 class DecoderState:
     hidden: list                  # per layer, each (dec_hidden,) or (B, dec_hidden)
-    t: int = 0
 
     def select(self, rows) -> "DecoderState":
         """The batched state of `rows` (indices into the batch), in that order."""
-        return DecoderState(hidden=[T.embedding_gather(h, rows) for h in self.hidden],
-                            t=self.t)
+        return DecoderState(hidden=[T.embedding_gather(h, rows) for h in self.hidden])
 
 
 def init_decoder(src: EncodedSource, params: dict, config: ModelConfig) -> DecoderState:
@@ -345,12 +343,67 @@ def init_decoder(src: EncodedSource, params: dict, config: ModelConfig) -> Decod
     proj = T.tanh(T.add(T.matmul(full, params["init.w"]), params["init.b"]))
     hidden = [T.vec_slice(proj, layer * config.dec_hidden, (layer + 1) * config.dec_hidden)
               for layer in range(config.dec_layers)]
-    return DecoderState(hidden=hidden, t=0)
+    return DecoderState(hidden=hidden)
 
 
 def _check_level(level: int, k: int, what: str) -> None:
     if not isinstance(level, (int, np.integer)) or not 1 <= int(level) <= k:
         raise ValueError("%s level must be an integer in 1..%d, got %r" % (what, k, level))
+
+
+def _decoder_inputs(ids, spec_level, coh_level, params: dict, config: ModelConfig):
+    """Token embedding plus the enabled level embeddings of every id in
+    `ids` (an int, or an int array of any shape) -> ids.shape + (dec_input_dim,)."""
+    ids = np.asarray(ids, dtype=np.int64)
+    parts = [T.embedding_gather(params["embed.token"], ids)]
+    if config.use_specificity:
+        _check_level(spec_level, config.k_levels, "specificity")
+        parts.append(T.embedding_gather(params["embed.spec_level"],
+                                        np.full(ids.shape, int(spec_level) - 1)))
+    if config.use_coherence:
+        _check_level(coh_level, config.k_levels, "coherence")
+        parts.append(T.embedding_gather(params["embed.coh_level"],
+                                        np.full(ids.shape, int(coh_level) - 1)))
+    return parts[0] if len(parts) == 1 else T.concat(parts, axis=-1)
+
+
+def _decoder_layers(layer_fn, x, hidden: list, params: dict, config: ModelConfig,
+                    rng, train: bool) -> list:
+    """Per-layer outputs of the GRU stack over `x`, `layer_fn(inp, h0,
+    weights)` running one layer; dropout between layers in train mode."""
+    out = []
+    inp = x
+    for layer in range(config.dec_layers):
+        weights = {part: params["dec.l%d.%s" % (layer, part)]
+                   for part in ("wi", "bi", "wh", "bh")}
+        h = layer_fn(inp, hidden[layer], weights)
+        out.append(h)
+        inp = h
+        if train and layer < config.dec_layers - 1 and config.dropout > 0:
+            inp = T.dropout(inp, config.dropout, rng, train)
+    return out
+
+
+def _output_rows(h_top, x, src: EncodedSource, params: dict):
+    """Attention, vocabulary softmax and copy mix for top-layer states
+    `h_top` (..., dec_hidden) fed inputs `x` (..., dec_input_dim); every
+    output keeps the leading axes.  Returns (final_dist over vocab plus
+    source-only tokens, p_gen, attention weights over source positions)."""
+    attn = T.softmax(T.matmul(h_top, T.transpose(src.attention_keys(params))), axis=-1)
+    context = T.matmul(attn, src.h_all)          # (..., 2*enc_hidden)
+    hc = T.concat([h_top, context], axis=-1)
+    p_vocab = T.softmax(T.add(T.matmul(hc, params["out.w"]), params["out.b"]), axis=-1)
+    p_gen = T.sigmoid(T.add(T.matmul(T.concat([hc, x], axis=-1), params["pgen.w"]),
+                            params["pgen.b"]))
+    gate = T.reshape(p_gen, p_gen.shape + (1,))
+
+    gen_part = T.mul(p_vocab, gate)
+    if src.oov_list:
+        gen_part = T.concat([gen_part, T.const(np.zeros(p_gen.shape + (len(src.oov_list),)))],
+                            axis=-1)
+    copy_part = T.mul(T.scatter_sum(attn, src.ext_ids, src.ext_vocab_size),
+                      T.sub(T.const(np.asarray(1.0)), gate))
+    return T.add(gen_part, copy_part), p_gen, attn
 
 
 def decode_step(state: DecoderState, prev_token_id, spec_level, coh_level,
@@ -364,54 +417,10 @@ def decode_step(state: DecoderState, prev_token_id, spec_level, coh_level,
     Returns (final_dist over vocab plus source-only tokens, p_gen,
     new DecoderState, attention weights over source positions).
     """
-    ids = np.asarray(prev_token_id, dtype=np.int64)
-    batched = ids.ndim == 1
-    gather = T.embedding_gather if batched else T.row
-    parts = [gather(params["embed.token"], ids)]
-    if config.use_specificity:
-        _check_level(spec_level, config.k_levels, "specificity")
-        parts.append(gather(params["embed.spec_level"],
-                            np.full(ids.shape, int(spec_level) - 1)))
-    if config.use_coherence:
-        _check_level(coh_level, config.k_levels, "coherence")
-        parts.append(gather(params["embed.coh_level"],
-                            np.full(ids.shape, int(coh_level) - 1)))
-    x = parts[0] if len(parts) == 1 else T.concat(parts, axis=-1)
-
-    new_hidden = []
-    inp = x
-    for layer in range(config.dec_layers):
-        weights = {part: params["dec.l%d.%s" % (layer, part)]
-                   for part in ("wi", "bi", "wh", "bh")}
-        h = T.gru_cell(inp, state.hidden[layer], weights)
-        new_hidden.append(h)
-        inp = h
-        if train and layer < config.dec_layers - 1 and config.dropout > 0:
-            inp = T.dropout(inp, config.dropout, rng, train)
-    h_top = new_hidden[-1]
-
-    keys = src.attention_keys(params)            # (T_total, dec_hidden)
-    if batched:
-        scores = T.matmul(h_top, T.transpose(keys))   # (B, T_total)
-    else:
-        scores = T.matmul(keys, h_top)                # (T_total,)
-    attn = T.softmax(scores, axis=-1)
-    context = T.matmul(attn, src.h_all)          # (..., 2*enc_hidden)
-
-    hc = T.concat([h_top, context], axis=-1)
-    p_vocab = T.softmax(T.add(T.matmul(hc, params["out.w"]), params["out.b"]), axis=-1)
-    p_gen = T.sigmoid(T.add(T.matmul(T.concat([hc, x], axis=-1), params["pgen.w"]),
-                            params["pgen.b"]))
-    gate = T.reshape(p_gen, (-1, 1)) if batched else p_gen
-
-    gen_part = T.mul(p_vocab, gate)
-    if src.oov_list:
-        gen_part = T.concat([gen_part, T.const(np.zeros(ids.shape + (len(src.oov_list),)))],
-                            axis=-1)
-    copy_part = T.mul(T.scatter_sum(attn, src.ext_ids, src.ext_vocab_size),
-                      T.sub(T.const(np.asarray(1.0)), gate))
-    final_dist = T.add(gen_part, copy_part)
-    return final_dist, p_gen, DecoderState(hidden=new_hidden, t=state.t + 1), attn
+    x = _decoder_inputs(prev_token_id, spec_level, coh_level, params, config)
+    hidden = _decoder_layers(T.gru_cell, x, state.hidden, params, config, rng, train)
+    final_dist, p_gen, attn = _output_rows(hidden[-1], x, src, params)
+    return final_dist, p_gen, DecoderState(hidden=hidden), attn
 
 
 # the -log floor for gold tokens that neither the vocabulary nor the
@@ -422,36 +431,35 @@ PROB_FLOOR = 1e-10
 
 def _teacher_forced(src: EncodedSource, tokens: list, spec_level, coh_level,
                     vocab: Vocabulary, params: dict, config: ModelConfig, rng, train):
-    """(distribution, target) per decoder step over `tokens`, each step fed
-    the previous gold token (UNK outside the vocabulary).  A None token
-    stands for EOS; a target is an extended id, or None when unreachable."""
-    state = init_decoder(src, params, config)
-    prev = BOS_ID
-    for tok in tokens:
-        final_dist, _, state, _ = decode_step(
-            state, prev, spec_level, coh_level, src, params, config, rng, train)
-        yield final_dist, EOS_ID if tok is None else target_extended_id(tok, vocab, src)
-        prev = vocab.id_of(tok)
+    """(probability of each reachable target, number of unreachable ones)
+    over the nonempty `tokens`, the decoder fed the previous gold token
+    (UNK outside the vocabulary) at each step.  A None token stands for
+    EOS.  Every decoder layer runs over the whole gold prefix at once."""
+    prev = [BOS_ID] + [vocab.id_of(tok) for tok in tokens[:-1]]
+    x = _decoder_inputs(prev, spec_level, coh_level, params, config)
+    hidden = _decoder_layers(
+        lambda inp, h0, weights: T.stack_rows(T.gru_run(inp, weights, h0=h0)),
+        x, init_decoder(src, params, config).hidden, params, config, rng, train)
+    final_dist, _, _ = _output_rows(hidden[-1], x, src, params)   # (T, W)
+    width = final_dist.shape[1]
+    targets = [EOS_ID if tok is None else target_extended_id(tok, vocab, src)
+               for tok in tokens]
+    flat = [step * width + t for step, t in enumerate(targets) if t is not None]
+    picked = T.embedding_gather(T.reshape(final_dist, (-1,)), flat)
+    return picked, len(targets) - len(flat)
 
 
 def forward_nll(src: EncodedSource, target_tokens: list, spec_level, coh_level,
                 vocab: Vocabulary, params: dict, config: ModelConfig,
                 rng=None, train: bool = False):
     """Teacher-forced negative log likelihood of the gold comment plus EOS."""
-    total = None
-    unreachable = 0
-    for final_dist, target in _teacher_forced(
-            src, list(target_tokens) + [None], spec_level, coh_level, vocab,
-            params, config, rng, train):
-        if target is None:
-            unreachable += 1
-            continue
-        p = T.clamp_min(T.gather_scalar(final_dist, int(target)), PROB_FLOOR)
-        term = T.sub(T.const(np.asarray(0.0)), T.log(p))
-        total = term if total is None else T.add(total, term)
+    p, unreachable = _teacher_forced(
+        src, list(target_tokens) + [None], spec_level, coh_level, vocab,
+        params, config, rng, train)
+    # EOS is always reachable, so p is never empty
+    total = T.sub(T.const(np.asarray(0.0)), T.tsum(T.log(T.clamp_min(p, PROB_FLOOR))))
     if unreachable:
-        penalty = T.const(np.asarray(unreachable * UNREACHABLE_NLL))
-        total = penalty if total is None else T.add(total, penalty)
+        total = T.add(total, T.const(np.asarray(unreachable * UNREACHABLE_NLL)))
     return total
 
 
@@ -465,14 +473,14 @@ def forward_unlikelihood(src: EncodedSource, negative_tokens: list, spec_level,
     all contributes exactly zero.
     """
     total = T.const(np.asarray(0.0))
-    for final_dist, target in _teacher_forced(
-            src, negative_tokens, spec_level, coh_level, vocab, params, config,
-            rng, train):
-        if target is not None:
-            p = T.gather_scalar(final_dist, int(target))
-            comp = T.clamp_min(T.sub(T.const(np.asarray(1.0)), p), PROB_FLOOR)
-            total = T.add(total, T.sub(T.const(np.asarray(0.0)), T.log(comp)))
-    return total
+    if not negative_tokens:
+        return total
+    p, _ = _teacher_forced(src, list(negative_tokens), spec_level, coh_level, vocab,
+                           params, config, rng, train)
+    if p.shape[0] == 0:
+        return total
+    comp = T.clamp_min(T.sub(T.const(np.asarray(1.0)), p), PROB_FLOOR)
+    return T.sub(total, T.tsum(T.log(comp)))
 
 
 # beam search -----------------------------------------------------------------

@@ -61,9 +61,6 @@ class Tensor:
     def __repr__(self):
         return "Tensor(shape=%r, requires_grad=%r)" % (self.shape, self.requires_grad)
 
-    def item(self) -> float:
-        return float(self.data)
-
     def backward(self) -> None:
         """Backpropagate from a scalar output; frees the graph afterward."""
         if self.data.size != 1:
@@ -94,19 +91,6 @@ class Tensor:
                 node._vjp = None
                 if node is not self:
                     node.grad = None
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def const(data) -> Tensor:
@@ -355,7 +339,7 @@ def gather_scalar(vec: Tensor, idx: int) -> Tensor:
 
 
 def embedding_gather(table: Tensor, ids) -> Tensor:
-    """Rows of an (V, D) table for an int id sequence -> (T, D)."""
+    """table[ids] for an int id array of any shape (repeats allowed)."""
     table = _as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
     data = table.data[ids]
@@ -458,13 +442,13 @@ def gru_cell(x: Tensor, h_prev: Tensor, weights: dict) -> Tensor:
     return gru_step(gi, h_prev, weights["wh"], weights["bh"])
 
 
-def gru_run(x_seq: Tensor, weights: dict, reverse: bool = False) -> list:
-    """Run a GRU over a (T, D) input; returns the list of hidden states
-    in sequence order (index t holds the state after reading token t)."""
+def gru_run(x_seq: Tensor, weights: dict, reverse: bool = False, h0=None) -> list:
+    """Run a GRU over a (T, D) input from initial state h0 (zeros when
+    None); returns the list of hidden states in sequence order (index t
+    holds the state after reading token t)."""
     T = x_seq.data.shape[0]
-    hsize = weights["wh"].data.shape[0]
     gi_all = add(matmul(x_seq, weights["wi"]), weights["bi"])
-    h = const(np.zeros(hsize))
+    h = const(np.zeros(weights["wh"].data.shape[0])) if h0 is None else h0
     states: list = [None] * T
     steps = range(T - 1, -1, -1) if reverse else range(T)
     for t in steps:
@@ -491,8 +475,7 @@ def bigru_encode(x_seq: Tensor, layer_weights: list, dropout_p: float = 0.0,
             cur = dropout(cur, dropout_p, rng, train)
         fwd = gru_run(cur, lw["f"], reverse=False)
         bwd = gru_run(cur, lw["b"], reverse=True)
-        rows = [concat([f, b]) for f, b in zip(fwd, bwd)]
-        cur = stack_rows(rows)
+        cur = concat([stack_rows(fwd), stack_rows(bwd)], axis=1)
         finals.append(concat([fwd[-1], bwd[0]]))
     return cur, finals
 
@@ -550,13 +533,14 @@ def write_container(path: str, magic: bytes, schema_version: int, header: dict,
 
 
 def read_container(path: str, magic: bytes, schema_version: int, what: str,
-                   shapes_of) -> tuple[dict, list]:
-    """(header, arrays) of a file from write_container.
+                   shapes_of, parse):
+    """`parse(header, arrays)` of a file from write_container.
 
     `shapes_of(header)` gives the shapes of the stored arrays in order.
     A wrong magic or schema version, a short preamble, a cut or non-JSON
-    header, a cut payload and trailing bytes each raise ValueError
-    naming `what`.
+    header, a cut payload, trailing bytes and a header key that
+    `shapes_of` or `parse` finds missing or mistyped each raise
+    ValueError naming `what`.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -591,7 +575,10 @@ def read_container(path: str, magic: bytes, schema_version: int, what: str,
             raise ValueError("trailing bytes after the %s payload" % what)
         arrays = [np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(shape).copy()
                   for shape, n in zip(shapes, counts)]
-    return header, arrays
+    try:
+        return parse(header, arrays)
+    except (KeyError, TypeError, AttributeError):
+        raise ValueError("malformed %s header" % what) from None
 
 
 def save_checkpoint(path: str, arrays: dict, meta: dict) -> None:
@@ -603,13 +590,13 @@ def save_checkpoint(path: str, arrays: dict, meta: dict) -> None:
                     arrays.values())
 
 
-def load_checkpoint(path: str):
-    """Read a checkpoint; returns (arrays dict, meta dict)."""
-    header, arrays = read_container(
+def load_checkpoint(path: str, parse_meta=dict):
+    """Read a checkpoint; returns (arrays dict, parse_meta(meta dict))."""
+    return read_container(
         path, CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA_VERSION, "checkpoint",
-        lambda h: [spec["shape"] for spec in h["tensors"]])
-    names = [spec["name"] for spec in header["tensors"]]
-    return dict(zip(names, arrays)), header["meta"]
+        lambda h: [spec["shape"] for spec in h["tensors"]],
+        lambda h, arrays: (dict(zip([spec["name"] for spec in h["tensors"]], arrays)),
+                           parse_meta(h["meta"])))
 
 
 def grad_check(build_loss, params: dict, eps: float = 1e-5,

@@ -220,9 +220,9 @@ def save_train_checkpoint(path: str, arrays: dict, model_config: ModelConfig,
 
 
 def load_train_checkpoint(path: str):
-    arrays, meta = T.load_checkpoint(path)
-    config = ModelConfig.from_dict(meta["config"])
-    vocab = Vocabulary.from_json(meta["vocab"])
+    arrays, (config, vocab, meta) = T.load_checkpoint(
+        path, lambda meta: (ModelConfig.from_dict(meta["config"]),
+                            Vocabulary.from_json(meta["vocab"]), meta))
     return M.arrays_to_params(arrays), config, vocab, meta
 
 

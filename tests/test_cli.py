@@ -313,6 +313,25 @@ class TestTrain:
                      str(tmp_path / "ck")]) == 2
         assert "truncated feature artifact header" in capsys.readouterr().err
 
+    def test_features_header_without_mode_exits_2(self, pipeline, tmp_path,
+                                                  monkeypatch, capsys):
+        from hiercomment.features import FEATURE_MAGIC, FEATURE_SCHEMA_VERSION
+        art = tmp_path / "art"
+        art.mkdir()
+        (art / "vocab.json").write_bytes(
+            (pipeline["data"] / "artifacts" / "vocab.json").read_bytes())
+        header, arrays = T.read_container(
+            str(pipeline["data"] / "artifacts" / "features.bin"), FEATURE_MAGIC,
+            FEATURE_SCHEMA_VERSION, "feature artifact", lambda h: [h["emb_shape"]],
+            lambda h, a: (h, a))
+        del header["mode"]
+        T.write_container(str(art / "features.bin"), FEATURE_MAGIC,
+                          FEATURE_SCHEMA_VERSION, header, arrays)
+        monkeypatch.setenv("HIERCOMMENT_ARTIFACTS_DIR", str(art))
+        assert main(["train", pipeline["config"], str(pipeline["data"]),
+                     str(tmp_path / "ck")]) == 2
+        assert "malformed feature artifact header" in capsys.readouterr().err
+
     def test_empty_train_split_exits_2(self, pipeline, tmp_path):
         data = tmp_path / "data"
         (data / "artifacts").mkdir(parents=True)
@@ -452,6 +471,17 @@ class TestGenerate:
         bad.write_bytes(b"not a checkpoint at all")
         assert main(["generate", str(bad), str(pipeline["test"]),
                      str(tmp_path / "p.jsonl")]) == 2
+
+    @pytest.mark.parametrize("header", [{"tensors": []}, {"tensors": [], "meta": {}}],
+                             ids=["no-meta", "no-config"])
+    def test_checkpoint_header_missing_key_exits_2(self, pipeline, tmp_path, capsys,
+                                                   header):
+        bad = tmp_path / "bad.ckpt"
+        T.write_container(str(bad), T.CHECKPOINT_MAGIC, T.CHECKPOINT_SCHEMA_VERSION,
+                          header, [])
+        assert main(["generate", str(bad), str(pipeline["test"]),
+                     str(tmp_path / "p.jsonl")]) == 2
+        assert "malformed checkpoint header" in capsys.readouterr().err
 
     @pytest.mark.parametrize("damage,message", [
         (lambda blob: blob[:12], "truncated checkpoint header"),

@@ -303,12 +303,12 @@ class TestDecodeStep:
                     singles.append(st)
                 batch = M.DecoderState(
                     hidden=[T.const(np.stack([st.hidden[layer].data for st in singles]))
-                            for layer in range(fm.cfg.dec_layers)], t=1)
+                            for layer in range(fm.cfg.dec_layers)])
                 prev_ids = np.array([7, 7, 11])
                 dist, p_gen, new, attn = decode_step(batch, prev_ids, 3, 2, src,
                                                      fm.params, fm.cfg)
                 assert dist.data.shape == (3, src.ext_vocab_size)
-                assert p_gen.data.shape == (3,) and new.t == 2
+                assert p_gen.data.shape == (3,)
                 for b, st in enumerate(singles):
                     d1, g1, n1, a1 = decode_step(st, int(prev_ids[b]), 3, 2, src,
                                                  fm.params, fm.cfg)
@@ -337,10 +337,9 @@ class TestDecodeStep:
         assert err < 1e-4
 
     def test_select_gathers_rows_in_order(self):
-        state = M.DecoderState(hidden=[T.const(np.arange(6.0).reshape(3, 2))], t=4)
+        state = M.DecoderState(hidden=[T.const(np.arange(6.0).reshape(3, 2))])
         picked = state.select(np.array([2, 0, 2]))
         npt.assert_allclose(picked.hidden[0].data, [[4, 5], [0, 1], [4, 5]])
-        assert picked.t == 4
 
 
 class TestInitDecoder:
@@ -483,6 +482,164 @@ class TestForwardUnlikelihood:
         total = forward_unlikelihood(fm.source(), ["qqqq", "wwww"], 1, 1,
                                      fm.vocab, fm.params, fm.cfg)
         assert total.data == 0.0
+
+
+def reference_teacher_forced(src, tokens, spec_level, coh_level, vocab, params,
+                             config, rng, train):
+    """The per-token walk: one single-hypothesis decode_step per token,
+    yielding (distribution, extended target id or None)."""
+    state = init_decoder(src, params, config)
+    prev = BOS_ID
+    for tok in tokens:
+        final_dist, _, state, _ = decode_step(
+            state, prev, spec_level, coh_level, src, params, config, rng, train)
+        yield final_dist, EOS_ID if tok is None else target_extended_id(tok, vocab, src)
+        prev = vocab.id_of(tok)
+
+
+def reference_forward_nll(src, target_tokens, spec_level, coh_level, vocab, params,
+                          config, rng=None, train=False):
+    total = None
+    unreachable = 0
+    for final_dist, target in reference_teacher_forced(
+            src, list(target_tokens) + [None], spec_level, coh_level, vocab,
+            params, config, rng, train):
+        if target is None:
+            unreachable += 1
+            continue
+        p = T.clamp_min(T.gather_scalar(final_dist, int(target)), M.PROB_FLOOR)
+        term = T.sub(T.const(np.asarray(0.0)), T.log(p))
+        total = term if total is None else T.add(total, term)
+    if unreachable:
+        penalty = T.const(np.asarray(unreachable * M.UNREACHABLE_NLL))
+        total = penalty if total is None else T.add(total, penalty)
+    return total
+
+
+def reference_forward_unlikelihood(src, negative_tokens, spec_level, coh_level, vocab,
+                                   params, config, rng=None, train=False):
+    total = T.const(np.asarray(0.0))
+    for final_dist, target in reference_teacher_forced(
+            src, negative_tokens, spec_level, coh_level, vocab, params, config,
+            rng, train):
+        if target is not None:
+            p = T.gather_scalar(final_dist, int(target))
+            comp = T.clamp_min(T.sub(T.const(np.asarray(1.0)), p), M.PROB_FLOOR)
+            total = T.add(total, T.sub(T.const(np.asarray(0.0)), T.log(comp)))
+    return total
+
+
+OOV_INPUTS = dict(method_tokens=["zap", "int", "x", "(", ")", "qux", ";"])
+
+
+class TestWholeSequenceMatchesReference:
+    """forward_nll and forward_unlikelihood run each decoder layer over the
+    whole sequence; they must agree with the per-token reference walk in
+    the loss and in every parameter gradient."""
+
+    def run(self, fm, nll_fn, ul_fn, target, negative, seed=None, train=False):
+        rng = None if seed is None else np.random.default_rng(seed)
+        inputs = make_inputs(**OOV_INPUTS)
+        spec, coh = (3, 4) if fm.cfg.use_specificity or fm.cfg.use_coherence else (None, None)
+        src = encode_source(inputs, fm.vocab, fm.params, fm.cfg, rng=rng, train=train)
+        nll = nll_fn(src, target, spec, coh, fm.vocab, fm.params, fm.cfg, rng=rng,
+                     train=train)
+        ul = ul_fn(src, negative, spec, coh, fm.vocab, fm.params, fm.cfg, rng=rng,
+                   train=train)
+        values = (float(nll.data), float(ul.data))
+        T.add(nll, ul).backward()
+        grads = {name: p.grad for name, p in fm.params.items()}
+        for p in fm.params.values():
+            p.grad = None
+        return values, grads, rng
+
+    def assert_agree(self, fm, target, negative, seed=None, train=False):
+        got, got_grads, got_rng = self.run(fm, forward_nll, forward_unlikelihood,
+                                           target, negative, seed, train)
+        want, want_grads, want_rng = self.run(fm, reference_forward_nll,
+                                              reference_forward_unlikelihood,
+                                              target, negative, seed, train)
+        npt.assert_allclose(got, want, rtol=1e-12, atol=0)
+        for name, want_g in want_grads.items():
+            got_g = got_grads[name]
+            assert (got_g is None) == (want_g is None), name
+            if want_g is not None:
+                scale = max(np.abs(want_g).max(), 1e-300)
+                assert np.abs(got_g - want_g).max() <= 1e-12 * scale, name
+        if seed is not None:
+            # the same number of draws from the same generator
+            assert got_rng.random() == want_rng.random()
+        return got
+
+    def test_copy_only_and_unreachable_targets(self):
+        fm = FixtureModel()
+        self.assert_agree(fm, ["zap", "returns", "qux", "."], ["zap", "the", "qux"])
+        self.assert_agree(fm, ["returns", "qqqq", "zap", "wwww"], ["qqqq", "value"])
+
+    def test_all_unreachable_target_and_negative(self):
+        fm = FixtureModel()
+        nll, ul = self.assert_agree(fm, ["qqqq", "wwww"], ["qqqq", "wwww"])
+        assert nll > 2 * M.UNREACHABLE_NLL
+        assert ul == 0.0
+
+    def test_empty_negative_is_exact_zero(self):
+        fm = FixtureModel()
+        _, ul = self.assert_agree(fm, ["returns", "zap"], [])
+        assert ul == 0.0
+
+    def test_every_ablation(self):
+        from hiercomment.cli import ABLATION_FLAGS
+        for flags in ABLATION_FLAGS.values():
+            self.assert_agree(FixtureModel(**flags), ["returns", "the", "zap", "."],
+                              ["returns", "zap"])
+
+    def test_one_and_three_decoder_layers(self):
+        for layers in (1, 3):
+            self.assert_agree(FixtureModel(dec_layers=layers), ["returns", "zap", "."],
+                              ["the", "syntax", "zap"])
+
+    def test_dropout_masks_match_in_train_mode(self, monkeypatch):
+        fm = FixtureModel(dropout=0.5)
+        masks = []
+        dropout = T.dropout
+
+        def recording(x, p, rng, train):
+            out = dropout(x, p, rng, train)
+            masks.append((out.data != 0).ravel())
+            return out
+        monkeypatch.setattr(T, "dropout", recording)
+        target, negative = ["returns", "the", "zap", "."], ["returns", "zap"]
+        drawn = []
+        for nll_fn, ul_fn in ((forward_nll, forward_unlikelihood),
+                              (reference_forward_nll, reference_forward_unlikelihood)):
+            masks.clear()
+            self.run(fm, nll_fn, ul_fn, target, negative, seed=11, train=True)
+            drawn.append(np.concatenate(masks))
+        assert 0 < drawn[0].mean() < 1
+        npt.assert_array_equal(drawn[0], drawn[1])
+        self.assert_agree(fm, target, negative, seed=11, train=True)
+
+
+    def test_vocab_sized_nodes_do_not_grow_with_target_length(self, monkeypatch):
+        """The output head runs once over all target rows, not per token."""
+        fm = FixtureModel(dec_hidden=10)
+        src = fm.source(make_inputs(**OOV_INPUTS))
+        widths = {len(fm.vocab), src.ext_vocab_size}
+        # the per-step GRU gate rows (3 * dec_hidden wide) must not count
+        assert 3 * fm.cfg.dec_hidden not in widths
+        make = T._make
+        counts = []
+
+        def counting(data, parents, vjp):
+            if np.ndim(data) and np.shape(data)[-1] in widths:
+                counts[-1] += 1
+            return make(data, parents, vjp)
+        monkeypatch.setattr(T, "_make", counting)
+        for length in (3, 20):
+            counts.append(0)
+            forward_nll(src, (["returns", "the", "zap", "."] * 5)[:length], 3, 4,
+                        fm.vocab, fm.params, fm.cfg)
+        assert counts[0] == counts[1] > 0
 
 
 class TestEndToEndGradient:

@@ -367,16 +367,17 @@ def _decoder_inputs(ids, spec_level, coh_level, params: dict, config: ModelConfi
     return parts[0] if len(parts) == 1 else T.concat(parts, axis=-1)
 
 
-def _decoder_layers(layer_fn, x, hidden: list, params: dict, config: ModelConfig,
+def _decoder_layers(x, hidden: list, params: dict, config: ModelConfig,
                     rng, train: bool) -> list:
-    """Per-layer outputs of the GRU stack over `x`, `layer_fn(inp, h0,
-    weights)` running one layer; dropout between layers in train mode."""
+    """Per-layer (T, ..., dec_hidden) states of the GRU stack run over the
+    leading time axis of `x` from the initial states `hidden`; dropout
+    between layers in train mode."""
     out = []
     inp = x
     for layer in range(config.dec_layers):
         weights = {part: params["dec.l%d.%s" % (layer, part)]
                    for part in ("wi", "bi", "wh", "bh")}
-        h = layer_fn(inp, hidden[layer], weights)
+        h = T.gru_run(inp, hidden[layer], weights)
         out.append(h)
         inp = h
         if train and layer < config.dec_layers - 1 and config.dropout > 0:
@@ -418,7 +419,8 @@ def decode_step(state: DecoderState, prev_token_id, spec_level, coh_level,
     new DecoderState, attention weights over source positions).
     """
     x = _decoder_inputs(prev_token_id, spec_level, coh_level, params, config)
-    hidden = _decoder_layers(T.gru_cell, x, state.hidden, params, config, rng, train)
+    hidden = [T.reshape(h, h.shape[1:]) for h in _decoder_layers(
+        T.reshape(x, (1,) + x.shape), state.hidden, params, config, rng, train)]
     final_dist, p_gen, attn = _output_rows(hidden[-1], x, src, params)
     return final_dist, p_gen, DecoderState(hidden=hidden), attn
 
@@ -437,9 +439,8 @@ def _teacher_forced(src: EncodedSource, tokens: list, spec_level, coh_level,
     EOS.  Every decoder layer runs over the whole gold prefix at once."""
     prev = [BOS_ID] + [vocab.id_of(tok) for tok in tokens[:-1]]
     x = _decoder_inputs(prev, spec_level, coh_level, params, config)
-    hidden = _decoder_layers(
-        lambda inp, h0, weights: T.stack_rows(T.gru_run(inp, weights, h0=h0)),
-        x, init_decoder(src, params, config).hidden, params, config, rng, train)
+    hidden = _decoder_layers(x, init_decoder(src, params, config).hidden, params,
+                             config, rng, train)
     final_dist, _, _ = _output_rows(hidden[-1], x, src, params)   # (T, W)
     width = final_dist.shape[1]
     targets = [EOS_ID if tok is None else target_extended_id(tok, vocab, src)

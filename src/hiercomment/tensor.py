@@ -7,9 +7,10 @@ recorded graph in reverse topological order, accumulating gradients with
 grad_check verifies any scalar-valued builder against central finite
 differences.
 
-The GRU step is a single fused node with a hand-written backward pass:
-sequence models build one tape node per timestep per layer instead of a
-dozen, which keeps desk-scale training fast without leaving numpy.
+A GRU recurrence over a whole sequence is a single node with a
+hand-written backward pass through time: each layer and direction of a
+sequence model builds one tape node, not one or more per timestep, which
+keeps desk-scale training fast without leaving numpy.
 """
 
 from __future__ import annotations
@@ -163,31 +164,25 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """a @ b for a left operand (..., D) and a right operand (D,) or (D, K)."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim == 0 or b.data.ndim == 0:
-        raise ShapeError("matmul: operands must be at least 1-D")
+    if a.data.ndim == 0 or not 1 <= b.data.ndim <= 2:
+        raise ShapeError("matmul: need (..., D) x (D,) or (D, K), got %r x %r"
+                         % (a.data.shape, b.data.shape))
     try:
         data = a.data @ b.data
     except ValueError:
         raise ShapeError("matmul: incompatible shapes %r x %r"
                          % (a.data.shape, b.data.shape))
-    an, bn = a.data.ndim, b.data.ndim
 
     def vjp(g):
-        if an == 2 and bn == 2:
+        rows = a.data.reshape(-1, b.data.shape[0])
+        if b.data.ndim == 2:
             _accum(a, g @ b.data.T)
-            _accum(b, a.data.T @ g)
-        elif an == 1 and bn == 2:
-            _accum(a, b.data @ g)
-            _accum(b, np.outer(a.data, g))
-        elif an == 2 and bn == 1:
-            _accum(a, np.outer(g, b.data))
-            _accum(b, a.data.T @ g)
-        elif an == 1 and bn == 1:
-            _accum(a, g * b.data)
-            _accum(b, g * a.data)
+            _accum(b, rows.T @ g.reshape(-1, b.data.shape[1]))
         else:
-            raise ShapeError("matmul backward: unsupported ranks %d, %d" % (an, bn))
+            _accum(a, g[..., None] * b.data)
+            _accum(b, rows.T @ g.reshape(-1))
     return _make(data, (a, b), vjp)
 
 
@@ -389,72 +384,72 @@ def tsum(x: Tensor, axis=None) -> Tensor:
     return _make(data, (x,), vjp)
 
 
-def gru_step(gi: Tensor, h_prev: Tensor, wh: Tensor, bh: Tensor) -> Tensor:
-    """One GRU timestep from a precomputed input projection.
+def gru_step(gi: Tensor, h0: Tensor, wh: Tensor, bh: Tensor,
+             reverse: bool = False) -> Tensor:
+    """GRU recurrence over the leading time axis of a precomputed input
+    projection.
 
-    gi is x @ wi + bi laid out as [z | r | n] blocks of the hidden size.
-    Gates: z = sigm(gi_z + gh_z), r = sigm(gi_r + gh_r),
-    n = tanh(gi_n + r * gh_n) with gh = h_prev @ wh + bh, and
-    h_next = z * h_prev + (1 - z) * n, so zero weights give
-    h_next = 0.5 * h_prev.  gi and h_prev may carry a leading batch
-    axis: (B, 3H) and (B, H).
+    gi is x @ wi + bi of shape (T, ..., 3H), laid out as [z | r | n]
+    blocks of the hidden size, and h0 the (..., H) initial state.  Each
+    step reads gi[t] and the state before it, h:
+    z = sigm(gi_z + gh_z), r = sigm(gi_r + gh_r),
+    n = tanh(gi_n + r * gh_n) with gh = h @ wh + bh, and
+    h_next = z * h + (1 - z) * n, so zero weights halve the state.
+    Returns the (T, ..., H) states, index t holding the state after
+    reading step t; `reverse` runs from t = T-1 down to 0.
 
-    Fused into a single tape node with a hand-written backward pass.
+    One tape node; the backward pass walks the steps in reverse.
     """
-    gi, h_prev, wh, bh = map(_as_tensor, (gi, h_prev, wh, bh))
-    hsize = h_prev.data.shape[-1]
-    if gi.data.shape[-1] != 3 * hsize:
-        raise ShapeError("gru_step: gi has %r, expected last dim %d"
-                         % (gi.data.shape, 3 * hsize))
-    gh = h_prev.data @ wh.data + bh.data
+    gi, h0, wh, bh = map(_as_tensor, (gi, h0, wh, bh))
+    hsize = h0.data.shape[-1]
+    if gi.data.shape[1:] != h0.data.shape[:-1] + (3 * hsize,) or not len(gi.data):
+        raise ShapeError("gru_step: gi has %r, expected (T >= 1,) + %r"
+                         % (gi.data.shape, h0.data.shape[:-1] + (3 * hsize,)))
     h1, h2 = hsize, 2 * hsize
-    giz, gir, gin = gi.data[..., :h1], gi.data[..., h1:h2], gi.data[..., h2:]
-    ghz, ghr, ghn = gh[..., :h1], gh[..., h1:h2], gh[..., h2:]
-    z = 1.0 / (1.0 + np.exp(-(giz + ghz)))
-    r = 1.0 / (1.0 + np.exp(-(gir + ghr)))
-    n = np.tanh(gin + r * ghn)
-    out_data = z * h_prev.data + (1.0 - z) * n
+    steps = range(len(gi.data) - 1, -1, -1) if reverse else range(len(gi.data))
+    out_data = np.empty(gi.data.shape[:-1] + (hsize,))
+    cache = []                    # per step taken: (h, z, r, n, gh_n)
+    h = h0.data
+    for t in steps:
+        gh = h @ wh.data + bh.data
+        git = gi.data[t]
+        z = 1.0 / (1.0 + np.exp(-(git[..., :h1] + gh[..., :h1])))
+        r = 1.0 / (1.0 + np.exp(-(git[..., h1:h2] + gh[..., h1:h2])))
+        n = np.tanh(git[..., h2:] + r * gh[..., h2:])
+        cache.append((h, z, r, n, gh[..., h2:]))
+        h = out_data[t] = z * h + (1.0 - z) * n
 
     def vjp(g):
-        dz = g * (h_prev.data - n)
-        dn = g * (1.0 - z)
-        dan = dn * (1.0 - n * n)
-        dgin = dan
-        dr = dan * ghn
-        dghn = dan * r
-        daz = dz * z * (1.0 - z)
-        dar = dr * r * (1.0 - r)
-        dgh = np.concatenate([daz, dar, dghn], axis=-1)
-        _accum(gi, np.concatenate([daz, dar, dgin], axis=-1))
-        _accum(h_prev, dgh @ wh.data.T + g * z)
-        if dgh.ndim == 1:
-            _accum(wh, np.outer(h_prev.data, dgh))
-            _accum(bh, dgh)
-        else:
-            _accum(wh, h_prev.data.T @ dgh)
-            _accum(bh, dgh.sum(axis=0))
-    return _make(out_data, (gi, h_prev, wh, bh), vjp)
+        dgi = np.empty_like(gi.data)
+        dgh_steps = []
+        dh = np.zeros_like(h0.data)
+        for t, (prev, z, r, n, ghn) in zip(reversed(steps), reversed(cache)):
+            gt = g[t] + dh
+            dz = gt * (prev - n)
+            dn = gt * (1.0 - z)
+            dan = dn * (1.0 - n * n)
+            dr = dan * ghn
+            daz = dz * z * (1.0 - z)
+            dar = dr * r * (1.0 - r)
+            dgh = np.concatenate([daz, dar, dan * r], axis=-1)
+            dgi[t] = np.concatenate([daz, dar, dan], axis=-1)
+            dh = dgh @ wh.data.T + gt * z
+            dgh_steps.append(dgh)
+        prev_rows = np.stack([c[0] for c in reversed(cache)]).reshape(-1, hsize)
+        dgh_rows = np.stack(dgh_steps).reshape(-1, 3 * hsize)
+        _accum(gi, dgi)
+        _accum(h0, dh)
+        _accum(wh, prev_rows.T @ dgh_rows)
+        _accum(bh, dgh_rows.sum(axis=0))
+    return _make(out_data, (gi, h0, wh, bh), vjp)
 
 
-def gru_cell(x: Tensor, h_prev: Tensor, weights: dict) -> Tensor:
-    """Standard GRU cell: weights maps 'wi','bi','wh','bh' to Tensors."""
-    gi = add(matmul(x, weights["wi"]), weights["bi"])
-    return gru_step(gi, h_prev, weights["wh"], weights["bh"])
-
-
-def gru_run(x_seq: Tensor, weights: dict, reverse: bool = False, h0=None) -> list:
-    """Run a GRU over a (T, D) input from initial state h0 (zeros when
-    None); returns the list of hidden states in sequence order (index t
-    holds the state after reading token t)."""
-    T = x_seq.data.shape[0]
-    gi_all = add(matmul(x_seq, weights["wi"]), weights["bi"])
-    h = const(np.zeros(weights["wh"].data.shape[0])) if h0 is None else h0
-    states: list = [None] * T
-    steps = range(T - 1, -1, -1) if reverse else range(T)
-    for t in steps:
-        h = gru_step(row(gi_all, t), h, weights["wh"], weights["bh"])
-        states[t] = h
-    return states
+def gru_run(x_seq: Tensor, h0: Tensor, weights: dict, reverse: bool = False) -> Tensor:
+    """A GRU over the leading time axis of x_seq (T, ..., D) from state h0
+    (..., H); weights maps 'wi','bi','wh','bh' to Tensors.  Returns the
+    (T, ..., H) states, index t holding the state after reading step t."""
+    gi = add(matmul(x_seq, weights["wi"]), weights["bi"])
+    return gru_step(gi, h0, weights["wh"], weights["bh"], reverse)
 
 
 def bigru_encode(x_seq: Tensor, layer_weights: list, dropout_p: float = 0.0,
@@ -473,10 +468,11 @@ def bigru_encode(x_seq: Tensor, layer_weights: list, dropout_p: float = 0.0,
     for li, lw in enumerate(layer_weights):
         if li > 0 and train and dropout_p > 0.0:
             cur = dropout(cur, dropout_p, rng, train)
-        fwd = gru_run(cur, lw["f"], reverse=False)
-        bwd = gru_run(cur, lw["b"], reverse=True)
-        cur = concat([stack_rows(fwd), stack_rows(bwd)], axis=1)
-        finals.append(concat([fwd[-1], bwd[0]]))
+        h0 = const(np.zeros(lw["f"]["wh"].data.shape[0]))
+        fwd = gru_run(cur, h0, lw["f"])
+        bwd = gru_run(cur, h0, lw["b"], reverse=True)
+        cur = concat([fwd, bwd], axis=1)
+        finals.append(concat([row(fwd, -1), row(bwd, 0)]))
     return cur, finals
 
 

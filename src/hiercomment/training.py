@@ -173,10 +173,6 @@ class EpochLog:
     valid_ppl: float
     seconds: float
 
-    def loss_fields(self) -> tuple:
-        return (self.epoch, self.train_mle, self.train_ul, self.train_loss,
-                self.train_ppl, self.valid_mle, self.valid_ppl)
-
 
 @dataclass
 class TrainResult:

@@ -169,6 +169,25 @@ class TestEncodeStream:
         npt.assert_array_equal(out.per_step.data, per_step.data)
         npt.assert_array_equal(out.finals[1].data, finals[1].data)
 
+    def test_tape_nodes_do_not_grow_with_stream_length(self, monkeypatch):
+        """Each GRU layer and direction is one node over the whole stream."""
+        vocab = make_vocab(VOCAB_TOKENS)
+        cfg = tiny_config(vocab_size=len(vocab))
+        params = init_params(cfg, seed=0)
+        make = T._make
+        counts = []
+
+        def counting(data, parents, vjp):
+            out = make(data, parents, vjp)
+            counts[-1] += out._vjp is not None
+            return out
+        monkeypatch.setattr(T, "_make", counting)
+        for length in (5, 50):
+            counts.append(0)
+            encode_source(make_inputs(method_tokens=(VOCAB_TOKENS * 3)[:length]),
+                          vocab, params, cfg)
+        assert counts[0] == counts[1] > 0
+
 
 class TestExtendedVocabulary:
     def setup_method(self):

@@ -45,7 +45,8 @@ class TestElementwiseOps:
 
 
 class TestMatmul:
-    @pytest.mark.parametrize("sa,sb", [((3, 4), (4, 2)), ((4,), (4, 2)), ((3, 4), (4,)), ((4,), (4,))])
+    @pytest.mark.parametrize("sa,sb", [((3, 4), (4, 2)), ((4,), (4, 2)), ((3, 4), (4,)), ((4,), (4,)),
+                                       ((3, 2, 4), (4, 2)), ((3, 2, 4), (4,))])
     def test_fd(self, sa, sb):
         rng = np.random.default_rng(3)
         a, b = _p(rng, *sa), _p(rng, *sb)
@@ -55,6 +56,10 @@ class TestMatmul:
     def test_shape_error_names_op(self):
         with pytest.raises(T.ShapeError, match="matmul"):
             T.matmul(T.const(np.ones((2, 3))), T.const(np.ones((2, 3))))
+
+    def test_right_operand_above_2d_rejected(self):
+        with pytest.raises(T.ShapeError, match="matmul"):
+            T.matmul(T.const(np.ones((2, 3))), T.const(np.ones((2, 3, 4))))
 
 
 class TestSoftmax:
@@ -205,10 +210,10 @@ class TestGRU:
             "bh": T.const(np.zeros(3 * h)),
         }
         h_prev = T.const(np.array([1.0, -2.0, 0.5, 0.0]))
-        out = T.gru_cell(T.const(np.ones(3)), h_prev, w)
-        npt.assert_allclose(out.data, 0.5 * h_prev.data)
-        out0 = T.gru_cell(T.const(np.ones(3)), T.const(np.zeros(h)), w)
-        npt.assert_allclose(out0.data, np.zeros(h))
+        out = T.gru_run(T.const(np.ones((1, 3))), h_prev, w)
+        npt.assert_allclose(out.data[0], 0.5 * h_prev.data)
+        out0 = T.gru_run(T.const(np.ones((1, 3))), T.const(np.zeros(h)), w)
+        npt.assert_allclose(out0.data[0], np.zeros(h))
 
     def test_cell_fd(self):
         rng = np.random.default_rng(10)
@@ -218,7 +223,8 @@ class TestGRU:
         params = {"x": x, "h0": h0, **w}
 
         def loss():
-            return T.tsum(T.mul(T.gru_cell(x, h0, w), T.gru_cell(x, h0, w)))
+            step = T.gru_run(T.reshape(x, (1, 3)), h0, w)
+            return T.tsum(T.mul(step, step))
         assert T.grad_check(loss, params) < 1e-4
 
     def test_two_step_chain_fd(self):
@@ -228,8 +234,8 @@ class TestGRU:
         params = {"xs": xs, **w}
 
         def loss():
-            states = T.gru_run(xs, w)
-            return T.tsum(states[-1])
+            states = T.gru_run(xs, T.const(np.zeros(3)), w)
+            return T.tsum(T.row(states, -1))
         assert T.grad_check(loss, params) < 1e-4
 
     def test_bigru_shapes_and_fd(self):
@@ -263,26 +269,170 @@ class TestGRU:
         rng = np.random.default_rng(14)
         w = _gru_weights(rng, 2, 3)
         xs = T.const(rng.normal(size=(4, 2)))
-        states = T.gru_run(xs, w, reverse=True)
-        lone = T.gru_run(T.const(xs.data[3:831]), w, reverse=True)
-        npt.assert_allclose(states[3].data, lone[3 - 3].data)
+        h0 = T.const(np.zeros(3))
+        states = T.gru_run(xs, h0, w, reverse=True)
+        lone = T.gru_run(T.const(xs.data[3:831]), h0, w, reverse=True)
+        npt.assert_allclose(states.data[3], lone.data[3 - 3])
+
+
+# The one-step GRU node, the cell and the list-returning run that the
+# sequence op replaced, kept as the reference it must agree with.
+
+def reference_gru_step(gi, h_prev, wh, bh):
+    gi, h_prev, wh, bh = map(T._as_tensor, (gi, h_prev, wh, bh))
+    hsize = h_prev.data.shape[-1]
+    gh = h_prev.data @ wh.data + bh.data
+    h1, h2 = hsize, 2 * hsize
+    giz, gir, gin = gi.data[..., :h1], gi.data[..., h1:h2], gi.data[..., h2:]
+    ghz, ghr, ghn = gh[..., :h1], gh[..., h1:h2], gh[..., h2:]
+    z = 1.0 / (1.0 + np.exp(-(giz + ghz)))
+    r = 1.0 / (1.0 + np.exp(-(gir + ghr)))
+    n = np.tanh(gin + r * ghn)
+    out_data = z * h_prev.data + (1.0 - z) * n
+
+    def vjp(g):
+        dz = g * (h_prev.data - n)
+        dn = g * (1.0 - z)
+        dan = dn * (1.0 - n * n)
+        dgin = dan
+        dr = dan * ghn
+        dghn = dan * r
+        daz = dz * z * (1.0 - z)
+        dar = dr * r * (1.0 - r)
+        dgh = np.concatenate([daz, dar, dghn], axis=-1)
+        T._accum(gi, np.concatenate([daz, dar, dgin], axis=-1))
+        T._accum(h_prev, dgh @ wh.data.T + g * z)
+        if dgh.ndim == 1:
+            T._accum(wh, np.outer(h_prev.data, dgh))
+            T._accum(bh, dgh)
+        else:
+            T._accum(wh, h_prev.data.T @ dgh)
+            T._accum(bh, dgh.sum(axis=0))
+    return T._make(out_data, (gi, h_prev, wh, bh), vjp)
+
+
+def reference_gru_cell(x, h_prev, weights):
+    gi = T.add(T.matmul(x, weights["wi"]), weights["bi"])
+    return reference_gru_step(gi, h_prev, weights["wh"], weights["bh"])
+
+
+def reference_gru_run(x_seq, weights, reverse=False, h0=None):
+    n_steps = x_seq.data.shape[0]
+    gi_all = T.add(T.matmul(x_seq, weights["wi"]), weights["bi"])
+    h = T.const(np.zeros(weights["wh"].data.shape[0])) if h0 is None else h0
+    states = [None] * n_steps
+    steps = range(n_steps - 1, -1, -1) if reverse else range(n_steps)
+    for t in steps:
+        h = reference_gru_step(T.row(gi_all, t), h, weights["wh"], weights["bh"])
+        states[t] = h
+    return states
+
+
+def reference_bigru_encode(x_seq, layer_weights, dropout_p, rng, train):
+    cur = x_seq
+    finals = []
+    for li, lw in enumerate(layer_weights):
+        if li > 0 and train and dropout_p > 0.0:
+            cur = T.dropout(cur, dropout_p, rng, train)
+        fwd = reference_gru_run(cur, lw["f"], reverse=False)
+        bwd = reference_gru_run(cur, lw["b"], reverse=True)
+        cur = T.concat([T.stack_rows(fwd), T.stack_rows(bwd)], axis=1)
+        finals.append(T.concat([fwd[-1], bwd[0]]))
+    return cur, finals
+
+
+def _rel_diff(got, want):
+    return np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
+
+
+class TestGRUMatchesReference:
+    """gru_run / gru_step against the per-step reference: values and the
+    gradient of every input agree within 1e-12 relative."""
+
+    def assert_agree(self, build, build_ref, params):
+        results = []
+        for fn in (build, build_ref):
+            outs = fn()
+            weights = np.random.default_rng(99)
+            loss = T.const(np.asarray(0.0))
+            for o in outs:
+                loss = T.add(loss, T.tsum(T.mul(o, T.const(weights.normal(size=o.shape)))))
+            loss.backward()
+            results.append(([o.data for o in outs],
+                            {k: p.grad for k, p in params.items()}))
+            for p in params.values():
+                p.grad = None
+        (values, grads), (want_values, want_grads) = results
+        for got, want in zip(values, want_values):
+            assert got.shape == want.shape
+            assert _rel_diff(got, want) <= 1e-12
+        for name, want in want_grads.items():
+            assert want is not None and _rel_diff(grads[name], want) <= 1e-12, name
+
+    @pytest.mark.parametrize("steps,reverse,nonzero_h0", [
+        (5, False, False), (5, True, False), (1, False, False), (1, True, True),
+        (4, False, True), (3, True, True)])
+    def test_sequence(self, steps, reverse, nonzero_h0):
+        rng = np.random.default_rng(20 + steps)
+        w = _gru_weights(rng, 3, 4)
+        xs = _p(rng, steps, 3)
+        h0 = _p(rng, 4) if nonzero_h0 else T.const(np.zeros(4))
+        params = {"xs": xs, **w, **({"h0": h0} if nonzero_h0 else {})}
+        self.assert_agree(
+            lambda: [T.gru_run(xs, h0, w, reverse=reverse)],
+            lambda: [T.stack_rows(reference_gru_run(xs, w, reverse=reverse, h0=h0))],
+            params)
+
+    def test_batched_length_one_step(self):
+        rng = np.random.default_rng(27)
+        w = _gru_weights(rng, 3, 4)
+        x = _p(rng, 1, 5, 3)
+        h0 = _p(rng, 5, 4)
+        self.assert_agree(
+            lambda: [T.reshape(T.gru_run(x, h0, w), (5, 4))],
+            lambda: [reference_gru_cell(T.row(x, 0), h0, w)],
+            {"x": x, "h0": h0, **w})
+
+    def test_two_layer_bigru_with_dropout(self):
+        rng = np.random.default_rng(28)
+        layers = [
+            {"f": _gru_weights(rng, 2, 3), "b": _gru_weights(rng, 2, 3)},
+            {"f": _gru_weights(rng, 6, 3), "b": _gru_weights(rng, 6, 3)},
+        ]
+        xs = _p(rng, 6, 2)
+        params = {"xs": xs}
+        for li, lw in enumerate(layers):
+            for d in ("f", "b"):
+                for k in ("wi", "bi", "wh", "bh"):
+                    params["l%d.%s.%s" % (li, d, k)] = lw[d][k]
+        draws = []
+
+        def encoder(fn):
+            def build():
+                drop_rng = np.random.default_rng(5)
+                per_step, finals = fn(xs, layers, 0.5, drop_rng, True)
+                draws.append(drop_rng.random())
+                return [per_step] + finals
+            return build
+        self.assert_agree(encoder(T.bigru_encode), encoder(reference_bigru_encode), params)
+        assert draws[0] == draws[1]
 
 
 class TestBatchedOps:
     """Ops the batched decoder runs with a leading batch axis, at B=3."""
 
-    def test_gru_cell_rows_match_unbatched_and_fd(self):
+    def test_gru_step_rows_match_unbatched_and_fd(self):
         rng = np.random.default_rng(14)
         w = _gru_weights(rng, 3, 4)
         x = _p(rng, 3, 3)
         h0 = _p(rng, 3, 4)
-        out = T.gru_cell(x, h0, w)
+        out = T.gru_run(T.reshape(x, (1, 3, 3)), h0, w)
         for b in range(3):
-            one = T.gru_cell(T.const(x.data[b]), T.const(h0.data[b]), w)
-            npt.assert_allclose(out.data[b], one.data, atol=1e-12)
+            one = T.gru_run(T.const(x.data[b:b + 1]), T.const(h0.data[b]), w)
+            npt.assert_allclose(out.data[0, b], one.data[0], atol=1e-12)
 
         def loss():
-            o = T.gru_cell(x, h0, w)
+            o = T.gru_run(T.reshape(x, (1, 3, 3)), h0, w)
             return T.tsum(T.mul(o, o))
         assert T.grad_check(loss, {"x": x, "h0": h0, **w}) < 1e-4
 

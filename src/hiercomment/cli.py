@@ -474,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="run config JSON")
     p.add_argument("--mode", choices=("first", "full"), default=None,
                    help="override the config's comment mode")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help="accepted for features.seed; has no effect")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("train", help="train one model variant")

@@ -311,15 +311,14 @@ class StaticEmbeddingTable:
         return self.matrix[i]
 
 
-def train_static_embeddings(token_seqs: list[list[str]], dim: int = 64,
-                            window: int = 5, seed: int = 0,
-                            max_vocab: int = 5000) -> StaticEmbeddingTable:
-    """PPMI co-occurrence counts factorized by symmetric eigendecomposition.
+def _ppmi(token_seqs: list[list[str]], window: int, max_vocab: int):
+    """The vocabulary and the positive cells of its PPMI co-occurrence matrix.
 
-    Deterministic: the PPMI matrix is built over the `max_vocab` most
-    frequent tokens (ties lexicographic), eigenvectors get a fixed sign
-    convention, and tokens that never co-occur keep exact zero vectors.
-    The effective dimension shrinks to the vocabulary size if smaller.
+    The vocabulary is the `max_vocab` most frequent tokens (ties
+    lexicographic), sorted. Returns `(tokens, rows, cols, values, marg)`:
+    cell (rows[i], cols[i]) of the symmetric n x n matrix holds
+    values[i] > 0, every other cell is 0, and marg[t] counts the pairs
+    token t is in. Only the cells that co-occur are ever built.
     """
     freq: Counter[str] = Counter()
     for seq in token_seqs:
@@ -328,8 +327,6 @@ def train_static_embeddings(token_seqs: list[list[str]], dim: int = 64,
     tokens.sort()
     index = {t: i for i, t in enumerate(tokens)}
     n = len(tokens)
-    if n == 0:
-        return StaticEmbeddingTable([], np.zeros((0, 1)))
 
     # sequences end to end; a pair counts only inside one sequence, and an
     # OOV token (-1) holds its window position without ever pairing
@@ -346,28 +343,129 @@ def train_static_embeddings(token_seqs: list[list[str]], dim: int = 64,
 
     counts = counts.astype(np.float64)
     total = counts.sum()
-    d = min(dim, n)
-    if total == 0:
-        return StaticEmbeddingTable(tokens, np.zeros((n, d)))
     rows, cols = np.divmod(cells, n)
     marg = np.bincount(rows, weights=counts, minlength=n)
     # the dense formulas restricted to the non-zero cells, where expected > 0
     expected = marg[rows] * marg[cols] / total
     ratio = counts * total / np.maximum(expected * total, 1e-300)
-    values = np.maximum(np.log(ratio), 0.0)
-    del rows, cols, counts, expected, ratio
-    ppmi = np.zeros((n, n))
-    ppmi.flat[cells] = values
-    del cells, values
+    values = np.log(ratio)
+    keep = values > 0
+    return tokens, rows[keep], cols[keep], values[keep], marg
 
-    eigvals, eigvecs = np.linalg.eigh(ppmi)
-    order = np.argsort(eigvals)[::-1][:d]
-    lam = np.maximum(eigvals[order], 0.0)
-    vecs = eigvecs[:, order]
-    flip = np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])])
+
+_LANCZOS_BLOCK = 32   # basis rows allocated at a time
+_BREAKDOWN = 1e-12     # beta below this times the largest |alpha| or beta seen: restart
+_TOLERANCE = 1e-13     # Ritz residual accepted, relative to the largest |Ritz value|
+
+
+def _top_eigenpairs(rows, cols, values, n: int, d: int):
+    """The d largest eigenvalues, descending, and their eigenvectors as the
+    columns of an (n, d) array, of the symmetric n x n matrix whose only
+    non-zero cells are (rows[i], cols[i]) -> values[i].
+
+    Lanczos iteration (Lanczos 1950; Paige 1972), multiplying by the cells
+    directly; each new vector is orthogonalized twice against every earlier
+    one. The basis is built in runs. Each run starts from a random vector
+    (a fixed-seed generator) orthogonal to the earlier runs and is coupled
+    to them by zeros. A run ends when its vectors span an invariant
+    subspace, or when each of the d largest Ritz values found so far has
+    converged: its residual is at most 1e-13 of the largest |Ritz value|.
+    One run holds at most one copy of a repeated eigenvalue, so the next
+    run looks for more in the space the earlier ones left. The iteration
+    stops when the d largest have converged and the latest run's largest
+    Ritz value has converged to no more than the dth, which shows that the
+    space left holds nothing larger; or when the basis spans all n
+    dimensions. A run's tridiagonal matrix is diagonalized after 10 steps
+    and then every max(10, length / 8) steps, so these tests cost O(m^3)
+    in all for m basis vectors.
+    """
+    rng = np.random.default_rng(0)
+    blocks = []    # the basis, _LANCZOS_BLOCK rows at a time; unfilled rows are 0
+    alphas, betas = [], []   # the tridiagonal matrix of the current run
+    kept = []      # (value, first basis row, coefficients) of earlier runs' top Ritz pairs
+    scale = 0.0
+
+    def orthogonalize(w):
+        for _ in range(2):
+            for blk in blocks:
+                w -= (blk @ w) @ blk
+        return w
+
+    def fresh():
+        w = orthogonalize(rng.standard_normal(n))
+        return w / np.linalg.norm(w)
+
+    q, m, start, check = fresh(), 0, 0, 10
+    while True:
+        if m % _LANCZOS_BLOCK == 0:
+            blocks.append(np.zeros((min(_LANCZOS_BLOCK, n - m), n)))
+        blocks[-1][m % _LANCZOS_BLOCK] = q
+        m += 1
+        # with no cell, bincount returns int64 zeros
+        w = np.bincount(rows, weights=values * q[cols], minlength=n).astype(np.float64)
+        alphas.append(q @ w)
+        w = orthogonalize(w)
+        beta = float(np.linalg.norm(w))
+        scale = max(scale, abs(alphas[-1]), beta)
+        closed = m == n or beta <= _BREAKDOWN * scale
+        if not closed and m - start < check:
+            betas.append(beta)
+            q = w / beta
+            continue
+        # eigh reads only the lower triangle; its last pair is the run's largest
+        theta, s = np.linalg.eigh(np.diag(alphas) + np.diag(betas, -1))
+        pairs = kept + [(theta[i], start, s[:, i]) for i in range(len(theta))]
+        ritz = np.array([p[0] for p in pairs])
+        resid = np.zeros(len(pairs))
+        if not closed:
+            resid[len(kept):] = np.abs(beta * s[-1])
+        top = np.argsort(ritz)[::-1][:d]
+        tol = _TOLERANCE * np.max(np.abs(ritz))
+        converged = len(top) == d and np.all(resid[top] <= tol)
+        settled = start > 0 and resid[-1] <= tol and ritz[-1] <= ritz[top[-1]]
+        if m == n or (converged and settled):
+            coef = np.zeros((m, d))
+            for j, i in enumerate(top):
+                _, first, c = pairs[i]
+                coef[first:first + len(c), j] = c
+            parts = np.split(coef, range(_LANCZOS_BLOCK, m, _LANCZOS_BLOCK))
+            return ritz[top], sum(blk[:len(part)].T @ part
+                                  for blk, part in zip(blocks, parts))
+        if closed or (converged and (start == 0 or ritz[-1] > ritz[top[-1]])):
+            # a pair outside the d largest never re-enters them
+            kept = [pairs[i] for i in top]
+            alphas, betas = [], []
+            q, start, check = fresh(), m, 10
+        else:
+            betas.append(beta)
+            q = w / beta
+            check = m - start + max(10, (m - start) // 8)
+
+
+def train_static_embeddings(token_seqs: list[list[str]], dim: int = 64,
+                            window: int = 5, seed: int = 0,
+                            max_vocab: int = 5000) -> StaticEmbeddingTable:
+    """Token embeddings from the top `dim` eigenpairs of a PPMI matrix.
+
+    The PPMI co-occurrence matrix over the `max_vocab` most frequent tokens
+    (ties lexicographic) is kept as its positive cells, and its `dim`
+    largest eigenpairs come from the Lanczos solver in `_top_eigenpairs`;
+    no dense n x n matrix is built. A token's vector is its row of the
+    eigenvectors scaled by sqrt(max(eigenvalue, 0)). Deterministic:
+    eigenvectors get a fixed sign convention (the largest-magnitude entry
+    is positive), and tokens that never co-occur keep exact zero vectors.
+    The dimension shrinks to the vocabulary size if smaller. `seed` is
+    accepted and has no effect: the solver starts from a fixed vector.
+    """
+    tokens, rows, cols, values, marg = _ppmi(token_seqs, window, max_vocab)
+    n = len(tokens)
+    if n == 0:
+        return StaticEmbeddingTable([], np.zeros((0, 1)))
+    d = min(dim, n)
+    lam, vecs = _top_eigenpairs(rows, cols, values, n, d)
+    flip = np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(d)])
     flip[flip == 0] = 1.0
-    vecs = vecs * flip
-    emb = vecs * np.sqrt(lam)
+    emb = vecs * flip * np.sqrt(np.maximum(lam, 0.0))
     emb[marg == 0] = 0.0
     return StaticEmbeddingTable(tokens, emb)
 

@@ -256,6 +256,20 @@ class SignificanceResult:
                 "seed": self.seed}
 
 
+_BOOTSTRAP_BLOCK = 500   # resamples drawn at a time
+
+
+def _resample_means(values: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Means of `n` resamples of `values` with replacement: the rows of one
+    (n, size) index draw from `rng`, drawn _BOOTSTRAP_BLOCK rows at a time
+    so only a block of indices is in memory."""
+    means = []
+    for start in range(0, n, _BOOTSTRAP_BLOCK):
+        rows = min(_BOOTSTRAP_BLOCK, n - start)
+        means.append(values[rng.integers(0, values.size, size=(rows, values.size))].mean(axis=1))
+    return np.concatenate(means)
+
+
 def bootstrap_test(scores_a, scores_b, n: int = 10000,
                    seed: int = 0) -> SignificanceResult:
     """Paired bootstrap, one-sided with a hypothesized better than b.
@@ -272,10 +286,8 @@ def bootstrap_test(scores_a, scores_b, n: int = 10000,
         raise ValueError("bootstrap_test needs at least one pair")
     if n < 1:
         raise ValueError("bootstrap_test needs at least one resample, got n=%d" % n)
-    rng = np.random.default_rng(seed)
     diff = a - b
-    idx = rng.integers(0, a.size, size=(n, a.size))
-    means = diff[idx].mean(axis=1)
+    means = _resample_means(diff, n, np.random.default_rng(seed))
     p = float((np.count_nonzero(means < 0) + 0.5 * np.count_nonzero(means == 0)) / n)
     return SignificanceResult(test_name="paired-bootstrap",
                               statistic=float(diff.mean()), p_value=p,

@@ -1,6 +1,9 @@
+import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -706,3 +709,47 @@ class TestParser:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+
+# the README loop in a fresh interpreter; argv: corpus, config, output dir
+_LOOP = """
+import sys
+from hiercomment.cli import main
+toy, cfg, out = sys.argv[1:]
+for argv in (["mine", toy, out + "/mined.jsonl"],
+             ["split", out + "/mined.jsonl", out + "/data", "--seed", "0"],
+             ["fit", out + "/data/train.jsonl", out + "/data/artifacts", "--config", cfg],
+             ["train", cfg, out + "/data", out + "/ckpt", "--ablation", "full"],
+             ["generate", out + "/ckpt/full.ckpt", out + "/data/test.jsonl",
+              out + "/preds.jsonl", "--config", cfg],
+             ["eval", out + "/preds.jsonl", out + "/data/test.jsonl", out + "/report.json"]):
+    if main(argv) != 0:
+        sys.exit("failed: %s" % " ".join(argv))
+"""
+
+
+def _file_digests(root):
+    return {os.path.relpath(os.path.join(d, f), root):
+            hashlib.sha256(Path(d, f).read_bytes()).hexdigest()
+            for d, _, files in os.walk(root) for f in files}
+
+
+class TestBlasThreads:
+    def test_every_output_is_the_same_for_one_and_two_threads(self, tmp_path):
+        cfg = json.loads(Path(TOY_CONFIG).read_text(encoding="utf-8"))
+        cfg["training"]["max_epochs"] = 1
+        cfg_path = tmp_path / "toy1.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        digests = []
+        for threads in ("1", "2"):
+            out = tmp_path / ("threads" + threads)
+            out.mkdir()
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-c", _LOOP, TOY, str(cfg_path), str(out)],
+                           env=env, check=True, capture_output=True, timeout=600)
+            digests.append(_file_digests(out))
+        assert "data/artifacts/features.bin" in digests[0]
+        assert len(digests[0]) >= 10
+        assert digests[0] == digests[1]

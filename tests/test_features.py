@@ -295,10 +295,9 @@ class TestStaticEmbeddings:
         assert emb.tokens == []
 
 
-def reference_static_embeddings(token_seqs, dim=64, window=5, max_vocab=5000):
-    """The dense builder: counts filled pair by pair in an n x n matrix,
-    PPMI computed over every cell, then the same eigh and sign convention
-    as train_static_embeddings."""
+def reference_ppmi(token_seqs, window=5, max_vocab=5000):
+    """The dense builder: counts filled pair by pair in an n x n matrix and
+    PPMI computed over every cell. Returns (tokens, ppmi, marginals)."""
     freq = Counter()
     for seq in token_seqs:
         freq.update(seq)
@@ -306,8 +305,6 @@ def reference_static_embeddings(token_seqs, dim=64, window=5, max_vocab=5000):
     tokens.sort()
     index = {t: i for i, t in enumerate(tokens)}
     n = len(tokens)
-    if n == 0:
-        return StaticEmbeddingTable([], np.zeros((0, 1)))
     counts = np.zeros((n, n), dtype=np.float64)
     for seq in token_seqs:
         ids = [index.get(t, -1) for t in seq]
@@ -321,15 +318,24 @@ def reference_static_embeddings(token_seqs, dim=64, window=5, max_vocab=5000):
                 counts[ti, tj] += 1.0
                 counts[tj, ti] += 1.0
     total = counts.sum()
-    d = min(dim, n)
-    if total == 0:
-        return StaticEmbeddingTable(tokens, np.zeros((n, d)))
     marg = counts.sum(axis=1)
+    if total == 0:
+        return tokens, counts, marg
     with np.errstate(divide="ignore", invalid="ignore"):
         expected = np.outer(marg, marg) / total
         ratio = np.where(expected > 0, counts * total / np.maximum(expected * total, 1e-300), 0.0)
         ppmi = np.where(ratio > 0, np.log(np.maximum(ratio, 1e-300)), 0.0)
-    ppmi = np.maximum(ppmi, 0.0)
+    return tokens, np.maximum(ppmi, 0.0), marg
+
+
+def reference_static_embeddings(token_seqs, dim=64, window=5, max_vocab=5000):
+    """The dense PPMI matrix through a full eigh, with the sign convention
+    and zero rows of train_static_embeddings."""
+    tokens, ppmi, marg = reference_ppmi(token_seqs, window, max_vocab)
+    n = len(tokens)
+    if n == 0:
+        return StaticEmbeddingTable([], np.zeros((0, 1)))
+    d = min(dim, n)
     eigvals, eigvecs = np.linalg.eigh(ppmi)
     order = np.argsort(eigvals)[::-1][:d]
     lam = np.maximum(eigvals[order], 0.0)
@@ -353,35 +359,108 @@ def random_corpus(rng):
 
 
 class TestStaticEmbeddingsMatchDenseReference:
-    def assert_same(self, seqs, **kwargs):
-        got = train_static_embeddings(seqs, **kwargs)
-        want = reference_static_embeddings(seqs, **kwargs)
+    def assert_same(self, seqs, dim=64, window=5, max_vocab=5000) -> bool:
+        """The PPMI cells equal the dense reference's matrix bit for bit,
+        and the embeddings agree with its eigh through their Gram matrix
+        E E^T, which is all coherence uses. False, with the Gram matrix
+        not compared, when lambda_d > 0 ties with lambda_d+1: the top-d
+        subspace is then not unique. Eigenpairs with lambda <= 0 add
+        nothing to E E^T, so a tie there is compared."""
+        tokens, rows, cols, values, marg = F._ppmi(seqs, window, max_vocab)
+        want_tokens, ppmi, want_marg = reference_ppmi(seqs, window, max_vocab)
+        assert tokens == want_tokens
+        assert np.all(values > 0)
+        dense = np.zeros_like(ppmi)
+        dense[rows, cols] = values
+        assert np.array_equal(dense, ppmi)
+        assert np.array_equal(marg, want_marg)
+
+        got = train_static_embeddings(seqs, dim=dim, window=window, max_vocab=max_vocab)
+        want = reference_static_embeddings(seqs, dim=dim, window=window, max_vocab=max_vocab)
         assert got.tokens == want.tokens
-        assert np.array_equal(got.matrix, want.matrix)
+        assert got.matrix.shape == want.matrix.shape
+        if not tokens:
+            return True
+        lam = np.linalg.eigvalsh(ppmi)[::-1]
+        d = got.dim
+        if d < len(lam) and lam[d - 1] > 0 and lam[d - 1] - lam[d] <= 1e-9 * lam[d - 1]:
+            return False
+        gram = got.matrix @ got.matrix.T
+        assert np.abs(gram - want.matrix @ want.matrix.T).max() <= 1e-10 * max(1.0, lam[0])
+        return True
 
     def test_random_corpora(self):
         rng = np.random.default_rng(11)
-        oov_windows = 0
+        oov_windows = ties = 0
         for _ in range(240):
             seqs = random_corpus(rng)
             distinct = len({t for s in seqs for t in s})
             max_vocab = int(rng.integers(1, distinct + 2)) if distinct else 5
             oov_windows += max_vocab < distinct
-            self.assert_same(seqs, dim=int(rng.integers(1, 12)),
-                             window=int(rng.integers(1, 7)), max_vocab=max_vocab)
+            ties += not self.assert_same(seqs, dim=int(rng.integers(1, 12)),
+                                         window=int(rng.integers(1, 7)),
+                                         max_vocab=max_vocab)
         assert oov_windows >= 50
+        assert ties <= 2
 
     @pytest.mark.parametrize("window", [1, 2, 3, 4, 5, 6])
     def test_repeats_and_oov_inside_windows(self, window):
         seqs = [["a", "a", "b", "z", "a", "b", "b"], [], ["a"], ["b", "y", "a", "a"],
                 ["c", "a", "x", "c", "c"]]
-        self.assert_same(seqs, dim=3, window=window, max_vocab=3)
+        assert self.assert_same(seqs, dim=3, window=window, max_vocab=3)
+
+    def test_dim_at_least_vocab_size(self):
+        # the basis reaches all n vectors, where the solver is exact
+        seqs = [["a", "b", "c", "a"], ["c", "d", "b"], ["d", "a", "e"], ["e", "b"]]
+        for dim in (5, 9):
+            assert self.assert_same(seqs, dim=dim, window=2)
+            assert train_static_embeddings(seqs, dim=dim, window=2).matrix.shape == (5, 5)
 
     def test_no_pair_cooccurs(self):
         seqs = [["a"], ["b"], [], ["a", "z", "b"]]
-        self.assert_same(seqs, dim=4, window=1, max_vocab=2)
+        assert self.assert_same(seqs, dim=4, window=1, max_vocab=2)
         emb = train_static_embeddings(seqs, dim=4, window=1, max_vocab=2)
         assert emb.matrix.shape == (2, 2) and not emb.matrix.any()
+
+    def test_no_positive_cell(self):
+        # "a" pairs only with itself, at exactly the expected rate: PPMI 0
+        seqs = [["a", "a", "a"], ["b"], ["c", "z"]]
+        assert len(F._ppmi(seqs, 5, 3)[1]) == 0
+        assert self.assert_same(seqs, dim=2, max_vocab=3)
+        assert not train_static_embeddings(seqs, dim=2, max_vocab=3).matrix.any()
+
+    def test_duplicated_blocks_give_the_reference_coherence(self):
+        # two identical disconnected pairs: the top eigenvalue repeats, so
+        # the vectors may come out rotated within its eigenspace, but E E^T
+        # and so coherence do not depend on that rotation
+        seqs = TestStaticEmbeddings().make_corpus()
+        stats = CommentStats.fit(seqs)
+        for dim in (2, 3, 8):
+            assert self.assert_same(seqs, dim=dim)
+            got = train_static_embeddings(seqs, dim=dim)
+            want = reference_static_embeddings(seqs, dim=dim)
+            sentences = [["alpha"], ["beta"], ["gamma", "delta"], ["alpha", "gamma"],
+                         ["beta", "beta", "delta"], ["solo", "alpha"]]
+            for a, b in itertools.product(sentences, repeat=2):
+                assert abs(coherence(a, b, got, stats) - coherence(a, b, want, stats)) <= 1e-12
+
+    def test_every_copy_of_a_repeated_top_eigenvalue(self):
+        # twelve isolated two-token sequences all get PPMI log(total / 2),
+        # so each is a block [[0, v], [v, 0]]: the top eigenvalue v has
+        # multiplicity 12. Alone (n = 24), every run of the solver spans
+        # one block; beside a connected corpus, the first run converges
+        # with one copy of v and later runs must find the other eleven
+        pairs = [["p%02d" % i, "q%02d" % i] for i in range(12)]
+        lam = np.linalg.eigvalsh(reference_ppmi(pairs)[1])[::-1]
+        assert np.allclose(lam[:12], lam[0]) and lam[12] < 0
+        assert self.assert_same(pairs, dim=12)
+        rng = np.random.default_rng(0)
+        vocab = ["w%02d" % i for i in range(30)]
+        seqs = [[vocab[int(i)] for i in rng.integers(0, 30, 20)] for _ in range(100)] + pairs
+        lam = np.linalg.eigvalsh(reference_ppmi(seqs)[1])[::-1]
+        assert np.allclose(lam[:12], lam[0]) and lam[12] < 0.5 * lam[0]
+        for dim in (12, 16):
+            assert self.assert_same(seqs, dim=dim)
 
     def test_pairs_never_cross_a_sequence_boundary(self):
         # end to end "a b" and "c d" would pair b with c
@@ -389,24 +468,46 @@ class TestStaticEmbeddingsMatchDenseReference:
         emb = train_static_embeddings(seqs, dim=4, window=5)
         for token in ("e", "f"):
             assert np.array_equal(emb.vector(token), np.zeros(emb.dim))
-        self.assert_same(seqs, dim=4, window=5)
+        assert self.assert_same(seqs, dim=4, window=5)
+
+    @staticmethod
+    def traced_peak(seqs, **kwargs):
+        # numpy reports its array buffers to tracemalloc; LAPACK workspace
+        # is not traced, so this bounds the arrays numpy allocates
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            emb = train_static_embeddings(seqs, **kwargs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return emb, peak
 
     def test_traced_peak_stays_near_one_dense_matrix(self):
-        # numpy reports array buffers to tracemalloc; eigh's LAPACK
-        # workspace is not traced, so this bounds the Python-visible arrays
-        import tracemalloc
+        # 16k tokens over 1,000 words fill 14% of the cells, and the pair
+        # list and cell arrays of the PPMI build set this peak
         rng = np.random.default_rng(3)
         n = 1000
         vocab = ["w%04d" % i for i in range(n)]
         seqs = [[vocab[int(i)] for i in rng.integers(0, n, 40)] for _ in range(400)]
-        tracemalloc.start()
-        try:
-            emb = train_static_embeddings(seqs, dim=16, window=5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        emb, peak = self.traced_peak(seqs, dim=16, window=5)
         assert len(emb.tokens) == n
         assert peak <= 2.5 * 8 * n * n
+
+    def test_traced_peak_on_sparse_cells_is_below_a_quarter_dense_matrix(self):
+        # Zipf-distributed draws over 1,000 words, each word also once on
+        # its own, fill about 1% of the cells; what remains is the cells
+        # and the Lanczos basis of m vectors of n floats (m is 160 here),
+        # where a dense matrix alone is 8 n^2 bytes
+        rng = np.random.default_rng(3)
+        n = 1000
+        vocab = ["w%04d" % i for i in range(n)]
+        p = 1.0 / np.arange(1, n + 1)
+        seqs = [[vocab[int(i)] for i in rng.choice(n, 8, p=p / p.sum())] for _ in range(300)]
+        seqs += [[w] for w in vocab]
+        emb, peak = self.traced_peak(seqs, dim=2, window=5)
+        assert len(emb.tokens) == n
+        assert peak <= 8 * n * n / 4
 
 
 class TestCoherence:

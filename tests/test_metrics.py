@@ -337,6 +337,14 @@ class TestBootstrap:
         p_high = MT.bootstrap_test(a + 0.5, b, n=4000, seed=7).p_value
         assert p_high <= p_low
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 64, 181])
+    @pytest.mark.parametrize("resamples", [1, 499, 500, 1001, 1733])
+    def test_blocked_means_equal_one_draw(self, size, resamples):
+        values = np.random.default_rng(size).normal(size=size)
+        got = MT._resample_means(values, resamples, np.random.default_rng(4))
+        idx = np.random.default_rng(4).integers(0, size, size=(resamples, size))
+        assert np.array_equal(got, values[idx].mean(axis=1))
+
     def test_seed_determinism(self):
         a = [0.4, 0.6, 0.5, 0.9]
         b = [0.5, 0.4, 0.45, 0.8]

@@ -194,11 +194,14 @@ def _load_vocab(art_dir: str) -> Vocabulary:
 # -------------------------------------------------------------- commands
 
 def cmd_mine(args) -> int:
-    pairs = C.mine_tree(args.src_dir)
+    diagnostics = []
+    pairs = C.mine_tree(args.src_dir, diagnostics)
     examples = C.filter_examples(pairs, mode=args.mode)
     C.write_examples(args.out, examples)
-    print("mined %d examples (from %d override pairs) -> %s"
-          % (len(examples), len(pairs), args.out))
+    kinds = [d["kind"] for d in diagnostics]
+    print("mined %d examples (from %d override pairs) -> %s; skipped %d files with "
+          "unbalanced braces; %d classes with an ambiguous parent"
+          % (len(examples), len(pairs), args.out, kinds.count("parse"), kinds.count("link")))
     return 0
 
 

@@ -304,12 +304,6 @@ class StaticEmbeddingTable:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    def vector(self, token: str) -> np.ndarray:
-        i = self._index.get(token)
-        if i is None:
-            return np.zeros(self.dim)
-        return self.matrix[i]
-
 
 def _ppmi(token_seqs: list[list[str]], window: int, max_vocab: int):
     """The vocabulary and the positive cells of its PPMI co-occurrence matrix.
@@ -356,6 +350,25 @@ def _ppmi(token_seqs: list[list[str]], window: int, max_vocab: int):
 _LANCZOS_BLOCK = 32   # basis rows allocated at a time
 _BREAKDOWN = 1e-12     # beta below this times the largest |alpha| or beta seen: restart
 _TOLERANCE = 1e-13     # Ritz residual accepted, relative to the largest |Ritz value|
+_DGKS = 2 ** -0.5      # a pass that leaves less than this share of |w| is repeated
+
+
+def _cell_product(rows, cols, values, n: int):
+    """q -> A @ q for the n x n matrix A whose only non-zero cells are
+    (rows[i], cols[i]) -> values[i]. Each row's cells are added in column
+    order as one segment, whatever order the cells come in (_ppmi's come
+    sorted), so the product does not depend on that order."""
+    key = rows * n + cols
+    if np.any(key[1:] <= key[:-1]):
+        order = np.argsort(key, kind="stable")
+        rows, cols, values = rows[order], cols[order], values[order]
+    urows, starts = np.unique(rows, return_index=True)
+
+    def product(q):
+        w = np.zeros(n)
+        w[urows] = np.add.reduceat(values * q[cols], starts)
+        return w
+    return product
 
 
 def _top_eigenpairs(rows, cols, values, n: int, d: int):
@@ -364,8 +377,18 @@ def _top_eigenpairs(rows, cols, values, n: int, d: int):
     non-zero cells are (rows[i], cols[i]) -> values[i].
 
     Lanczos iteration (Lanczos 1950; Paige 1972), multiplying by the cells
-    directly; each new vector is orthogonalized twice against every earlier
-    one. The basis is built in runs. Each run starts from a random vector
+    directly (`_cell_product`). Each step subtracts alpha q and beta q_prev,
+    as the three-term recurrence does, and then runs one Gram-Schmidt pass
+    against the whole basis; a second pass follows only when the first
+    left less than 1/sqrt(2) of the vector's norm (Daniel, Gragg, Kaufman &
+    Stewart 1976), which the recurrence makes rare. The basis is kept in
+    blocks of _LANCZOS_BLOCK rows, one product per block: one product with
+    the whole (m, n) basis is faster, but OpenBLAS splits it across threads
+    once m n passes about 4.6e5, and its last bits then move with the
+    thread count; a block's 32 n values stay below that while n is under
+    about 14,000.
+
+    The basis is built in runs. Each run starts from a random vector
     (a fixed-seed generator) orthogonal to the earlier runs and is coupled
     to them by zeros. A run ends when its vectors span an invariant
     subspace, or when each of the d largest Ritz values found so far has
@@ -384,16 +407,22 @@ def _top_eigenpairs(rows, cols, values, n: int, d: int):
     alphas, betas = [], []   # the tridiagonal matrix of the current run
     kept = []      # (value, first basis row, coefficients) of earlier runs' top Ritz pairs
     scale = 0.0
+    product = _cell_product(rows, cols, values, n)
 
     def orthogonalize(w):
+        # a second pass only when the first removed most of w (DGKS)
+        before = np.linalg.norm(w)
         for _ in range(2):
             for blk in blocks:
                 w -= (blk @ w) @ blk
-        return w
+            after = float(np.linalg.norm(w))
+            if after >= before * _DGKS:
+                break
+        return w, after
 
     def fresh():
-        w = orthogonalize(rng.standard_normal(n))
-        return w / np.linalg.norm(w)
+        w, norm = orthogonalize(rng.standard_normal(n))
+        return w / norm
 
     q, m, start, check = fresh(), 0, 0, 10
     while True:
@@ -401,16 +430,18 @@ def _top_eigenpairs(rows, cols, values, n: int, d: int):
             blocks.append(np.zeros((min(_LANCZOS_BLOCK, n - m), n)))
         blocks[-1][m % _LANCZOS_BLOCK] = q
         m += 1
-        # with no cell, bincount returns int64 zeros
-        w = np.bincount(rows, weights=values * q[cols], minlength=n).astype(np.float64)
+        w = product(q)
         alphas.append(q @ w)
-        w = orthogonalize(w)
-        beta = float(np.linalg.norm(w))
+        # the three-term recurrence leaves little for the full pass
+        w -= alphas[-1] * q
+        if betas:
+            w -= betas[-1] * prev
+        w, beta = orthogonalize(w)
         scale = max(scale, abs(alphas[-1]), beta)
         closed = m == n or beta <= _BREAKDOWN * scale
         if not closed and m - start < check:
             betas.append(beta)
-            q = w / beta
+            prev, q = q, w / beta
             continue
         # eigh reads only the lower triangle; its last pair is the run's largest
         theta, s = np.linalg.eigh(np.diag(alphas) + np.diag(betas, -1))
@@ -438,7 +469,7 @@ def _top_eigenpairs(rows, cols, values, n: int, d: int):
             q, start, check = fresh(), m, 10
         else:
             betas.append(beta)
-            q = w / beta
+            prev, q = q, w / beta
             check = m - start + max(10, (m - start) // 8)
 
 
@@ -472,11 +503,18 @@ def train_static_embeddings(token_seqs: list[list[str]], dim: int = 64,
 
 def sentence_repr(tokens: list[str], emb: StaticEmbeddingTable,
                   stats: CommentStats) -> np.ndarray:
-    """Frequency-discounted bag of embeddings: sum of e_w / (1 + f_w)."""
-    out = np.zeros(emb.dim if emb.dim else 1)
-    for t in tokens:
-        out = out + emb.vector(t) / (1.0 + stats.doc_freq.get(t, 0))
-    return out
+    """Frequency-discounted bag of embeddings: sum of e_w / (1 + f_w),
+    added in token order; an unknown token adds a zero vector."""
+    if not tokens:
+        return np.zeros(emb.dim if emb.dim else 1)
+    ids = np.array([emb._index.get(t, -1) for t in tokens], dtype=np.int64)
+    known = ids >= 0
+    # numpy sums a 2-D array down its rows in order only when a row holds
+    # more than one value (a lone column is summed pairwise), so pad to two
+    rows = np.zeros((len(tokens), max(emb.dim, 2)))
+    rows[known, :emb.dim] = emb.matrix[ids[known]]
+    rows /= 1.0 + np.array([stats.doc_freq.get(t, 0) for t in tokens], dtype=np.float64)[:, None]
+    return rows.sum(axis=0)[:emb.dim]
 
 
 def coherence(tokens_a: list[str], tokens_b: list[str],

@@ -517,15 +517,23 @@ def write_container(path: str, magic: bytes, schema_version: int, header: dict,
                     arrays) -> None:
     """The one binary file layout: 8-byte magic, `<Q` header length, the
     header as sorted JSON (schema_version added), then each array's raw
-    `<f8` values in order."""
+    `<f8` values in order. The file is written beside `path` under a
+    temporary name and then renamed over it, so a failed write leaves
+    any earlier file at `path` as it was."""
     blob = json.dumps(dict(header, schema_version=schema_version),
                       sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(magic)
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            for arr in arrays:
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def read_container(path: str, magic: bytes, schema_version: int, what: str,

@@ -187,6 +187,23 @@ class TestMine:
         f.write_text("x", encoding="utf-8")
         assert main(["mine", str(f), str(tmp_path / "out.jsonl")]) == 2
 
+    def test_summary_counts_skipped_files_and_ambiguous_parents(self, tmp_path, capsys):
+        proj = tmp_path / "tree" / "proj"
+        proj.mkdir(parents=True)
+        (proj / "Broken.java").write_text("class Broken { void f() { }", encoding="utf-8")
+        (proj / "A.java").write_text("package a.x; class Base { void f() {} }", encoding="utf-8")
+        (proj / "B.java").write_text("package b.y; class Base { void f() {} }", encoding="utf-8")
+        (proj / "Kid.java").write_text(
+            "package c.z; class Kid extends Base { void f() {} }", encoding="utf-8")
+        (proj / "Leaf.java").write_text(
+            "package a.x; class Leaf extends Base { /** Reads the gzip stream fully. */"
+            " void f() {} }", encoding="utf-8")
+        assert main(["mine", str(tmp_path / "tree"), str(tmp_path / "out.jsonl")]) == 0
+        out = capsys.readouterr().out
+        assert "from 1 override pairs" in out
+        assert "skipped 1 files with unbalanced braces" in out
+        assert "1 classes with an ambiguous parent" in out
+
 
 class TestSplit:
     def test_writes_three_splits_and_assignment(self, pipeline):

@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,6 +256,13 @@ class TestQuantileBins:
         assert 0.0 <= norm <= 1.0
 
 
+def vector(emb, token):
+    """A token's row of the table; zeros for a token it does not hold."""
+    if token not in emb.tokens:
+        return np.zeros(emb.dim)
+    return emb.matrix[emb.tokens.index(token)]
+
+
 class TestStaticEmbeddings:
     def make_corpus(self):
         seqs = [["alpha", "beta"] for _ in range(20)]
@@ -261,17 +272,17 @@ class TestStaticEmbeddings:
 
     def test_cooccurring_pair_has_high_cosine(self):
         emb = train_static_embeddings(self.make_corpus(), dim=8, seed=0)
-        a, b = emb.vector("alpha"), emb.vector("beta")
+        a, b = vector(emb, "alpha"), vector(emb, "beta")
         cos = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
         assert cos >= 0.9
 
     def test_isolated_token_gets_zero_vector(self):
         emb = train_static_embeddings(self.make_corpus(), dim=8, seed=0)
-        assert np.array_equal(emb.vector("solo"), np.zeros(emb.dim))
+        assert np.array_equal(vector(emb, "solo"), np.zeros(emb.dim))
 
     def test_oov_token_gets_zero_vector(self):
         emb = train_static_embeddings(self.make_corpus(), dim=8, seed=0)
-        assert np.array_equal(emb.vector("missing"), np.zeros(emb.dim))
+        assert np.array_equal(vector(emb, "missing"), np.zeros(emb.dim))
 
     def test_dim_shrinks_to_vocab_size(self):
         emb = train_static_embeddings([["x", "y"]], dim=64, seed=0)
@@ -286,7 +297,7 @@ class TestStaticEmbeddings:
     def test_unrelated_pairs_less_similar_than_related(self):
         emb = train_static_embeddings(self.make_corpus(), dim=8, seed=0)
         def cos(x, y):
-            vx, vy = emb.vector(x), emb.vector(y)
+            vx, vy = vector(emb, x), vector(emb, y)
             return vx @ vy / (np.linalg.norm(vx) * np.linalg.norm(vy) + 1e-12)
         assert cos("alpha", "beta") > cos("alpha", "gamma") + 0.5
 
@@ -467,7 +478,7 @@ class TestStaticEmbeddingsMatchDenseReference:
         seqs = [["a", "b"], ["c", "d"], ["a", "b"], ["d", "c"], ["e"], ["f"]]
         emb = train_static_embeddings(seqs, dim=4, window=5)
         for token in ("e", "f"):
-            assert np.array_equal(emb.vector(token), np.zeros(emb.dim))
+            assert np.array_equal(vector(emb, token), np.zeros(emb.dim))
         assert self.assert_same(seqs, dim=4, window=5)
 
     @staticmethod
@@ -508,6 +519,112 @@ class TestStaticEmbeddingsMatchDenseReference:
         emb, peak = self.traced_peak(seqs, dim=2, window=5)
         assert len(emb.tokens) == n
         assert peak <= 8 * n * n / 4
+
+
+def zipf_cells(seed, n=300, length=8, count=400):
+    """Zipf-distributed draws over n words, and their `_ppmi` cells."""
+    rng = np.random.default_rng(seed)
+    vocab = ["w%04d" % i for i in range(n)]
+    p = 1.0 / np.arange(1, n + 1)
+    seqs = [[vocab[int(i)] for i in rng.choice(n, length, p=p / p.sum())]
+            for _ in range(count)]
+    return seqs, F._ppmi(seqs, 5, 5000)
+
+
+class TestCellProduct:
+    def test_matches_the_dense_product(self):
+        rng = np.random.default_rng(5)
+        corpora = [random_corpus(rng) for _ in range(60)] + [zipf_cells(s)[0] for s in range(3)]
+        for seqs in corpora:
+            tokens, rows, cols, values, _ = F._ppmi(seqs, 5, 5000)
+            ppmi = reference_ppmi(seqs)[1]
+            q = rng.standard_normal(len(tokens))
+            got = F._cell_product(rows, cols, values, len(tokens))(q)
+            assert np.abs(got - ppmi @ q).max(initial=0.0) <= 1e-12
+
+    def test_no_cell_gives_zeros(self):
+        none = np.zeros(0, dtype=np.int64)
+        got = F._cell_product(none, none, np.zeros(0), 4)(np.arange(4.0))
+        assert got.dtype == np.float64 and np.array_equal(got, np.zeros(4))
+
+    def test_shuffled_cells_give_the_same_eigenpairs(self):
+        _, (tokens, rows, cols, values, _) = zipf_cells(1)
+        n = len(tokens)
+        perm = np.random.default_rng(2).permutation(len(values))
+        q = np.random.default_rng(3).standard_normal(n)
+        assert np.array_equal(F._cell_product(rows, cols, values, n)(q),
+                              F._cell_product(rows[perm], cols[perm], values[perm], n)(q))
+        want = F._top_eigenpairs(rows, cols, values, n, 8)
+        got = F._top_eigenpairs(rows[perm], cols[perm], values[perm], n, 8)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+# a Zipf corpus over 1,500 words; its first Lanczos run reaches m = 358,
+# past the m n of about 4.6e5 at which OpenBLAS splits a product with an
+# (m, n) matrix across two threads
+_FIT_SCRIPT = """
+import sys
+import numpy as np
+from hiercomment.features import train_static_embeddings
+rng = np.random.default_rng(0)
+n = 1500
+vocab = ["w%04d" % i for i in range(n)]
+p = 1.0 / np.arange(1, n + 1)
+seqs = [[vocab[int(i)] for i in rng.choice(n, 10, p=p / p.sum())] for _ in range(4000)]
+seqs += [[w] for w in vocab]
+sys.stdout.buffer.write(train_static_embeddings(seqs, dim=32).matrix.tobytes())
+"""
+
+
+class TestFitBlasThreads:
+    def test_embeddings_are_byte_identical_under_one_and_two_threads(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", _FIT_SCRIPT], env=env, check=True,
+                                  capture_output=True, timeout=600)
+            outs.append(proc.stdout)
+        assert len(outs[0]) == 8 * 1500 * 32
+        assert outs[0] == outs[1]
+
+
+def reference_sentence_repr(tokens, emb, stats):
+    """The per-token loop sentence_repr replaced."""
+    out = np.zeros(emb.dim if emb.dim else 1)
+    for t in tokens:
+        out = out + vector(emb, t) / (1.0 + stats.doc_freq.get(t, 0))
+    return out
+
+
+class TestSentenceReprMatchesTokenLoop:
+    @pytest.mark.parametrize("dim", [0, 1, 2, 3, 64])
+    def test_seeded_random_token_lists(self, dim):
+        # a lone column (dim 1) is where a plain numpy sum would go pairwise
+        rng = np.random.default_rng(dim)
+        known = ["k%02d" % i for i in range(12)]
+        scale = 10.0 ** rng.integers(-6, 6, (len(known), 1))
+        emb = StaticEmbeddingTable(known, rng.standard_normal((len(known), dim)) * scale)
+        # k09..k11 have no document frequency, k00 has 0 stored
+        doc_freq = {t: int(rng.integers(0, 40)) for t in known[:9]}
+        doc_freq["k00"] = 0
+        stats = CommentStats(n_comments=50, doc_freq=doc_freq)
+        pool = known + ["unk%d" % i for i in range(4)]
+        for length in [0, 1, 2] + [int(k) for k in rng.integers(3, 120, 200)]:
+            tokens = [pool[int(i)] for i in rng.integers(0, len(pool), length)]
+            assert np.array_equal(sentence_repr(tokens, emb, stats),
+                                  reference_sentence_repr(tokens, emb, stats))
+        for tokens in ([], ["k03", "k03", "k03"], ["unk0"], ["unk0", "unk1"]):
+            assert np.array_equal(sentence_repr(tokens, emb, stats),
+                                  reference_sentence_repr(tokens, emb, stats))
+
+    def test_table_without_tokens(self):
+        emb = StaticEmbeddingTable([], np.zeros((0, 1)))
+        stats = CommentStats(n_comments=1, doc_freq={"a": 1})
+        for tokens in ([], ["a"], ["a", "b", "a"]):
+            assert np.array_equal(sentence_repr(tokens, emb, stats),
+                                  reference_sentence_repr(tokens, emb, stats))
 
 
 class TestCoherence:
@@ -641,3 +758,20 @@ class TestArtifacts:
         art.save(p1)
         art.save(p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    def test_failed_save_leaves_the_earlier_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "features.bin"
+        self.build().save(str(path))
+        before = path.read_bytes()
+        art = self.build()
+        art.embeddings = StaticEmbeddingTable(["x"], np.ones((1, 2)))
+
+        def fail(arr, dtype=None):
+            raise OSError("no space left on device")
+        # the magic and header are written by then
+        monkeypatch.setattr(np, "ascontiguousarray", fail)
+        with pytest.raises(OSError, match="no space"):
+            art.save(str(path))
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["features.bin"]

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -547,6 +549,52 @@ class TestCheckpoint:
         T.save_checkpoint(p1, arrays, {"seed": 1})
         T.save_checkpoint(p2, arrays, {"seed": 1})
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+class TestCrashSafeWrite:
+    @staticmethod
+    def fail_at_array(monkeypatch, k):
+        """The k-th array write (from 0) raises, after the header and the
+        arrays before it are written."""
+        real, calls = np.ascontiguousarray, []
+
+        def flaky(arr, dtype=None):
+            if len(calls) == k:
+                raise OSError("no space left on device")
+            calls.append(k)
+            return real(arr, dtype=dtype)
+        monkeypatch.setattr(np, "ascontiguousarray", flaky)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_failed_write_leaves_the_earlier_checkpoint(self, tmp_path, monkeypatch, k):
+        path = tmp_path / "full.ckpt"
+        T.save_checkpoint(str(path), {"w": np.ones((2, 3))}, {"epoch": 1})
+        before = path.read_bytes()
+        self.fail_at_array(monkeypatch, k)
+        with pytest.raises(OSError, match="no space"):
+            T.save_checkpoint(str(path), {"a": np.zeros(4), "b": np.arange(3.0),
+                                          "c": np.eye(2)}, {"epoch": 2})
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["full.ckpt"]
+
+    def test_failed_first_write_leaves_no_file(self, tmp_path, monkeypatch):
+        self.fail_at_array(monkeypatch, 1)
+        with pytest.raises(OSError, match="no space"):
+            T.save_checkpoint(str(tmp_path / "new.ckpt"),
+                              {"a": np.zeros(4), "b": np.ones(2)}, {})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_written_bytes_follow_the_layout(self, tmp_path):
+        path = tmp_path / "x.bin"
+        path.write_bytes(b"an older, longer file that the write replaces")
+        arrays = [np.arange(6.0).reshape(2, 3), np.array([-0.5, 1e300])]
+        T.write_container(str(path), b"TESTMAG1", 3, {"b": [1], "a": "x"}, arrays)
+        blob = b'{"a": "x", "b": [1], "schema_version": 3}'
+        assert path.read_bytes() == (b"TESTMAG1" + struct.pack("<Q", len(blob)) + blob
+                                     + arrays[0].astype("<f8").tobytes()
+                                     + arrays[1].astype("<f8").tobytes())
+        assert [p.name for p in tmp_path.iterdir()] == ["x.bin"]
 
 
 class TestCheckpointProperties:
